@@ -30,11 +30,10 @@ struct Setup
 };
 
 inline Setup
-makeSetup(const SystemConfig &config, unsigned threads = 1)
+makeSetup(const SystemConfig &config)
 {
     Setup s;
     s.system = std::make_unique<PimSystem>(config);
-    s.system->setThreads(threads);
     s.host = std::make_unique<HostModel>(*s.system);
     if (config.withPim())
         s.blas = std::make_unique<PimBlas>(*s.system);

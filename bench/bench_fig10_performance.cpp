@@ -14,7 +14,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -40,15 +39,14 @@ struct Fig10Row
 
 std::vector<Fig10Row> g_rows;
 std::map<unsigned, double> g_nofence_geomean;
-unsigned g_threads = 1; // --threads=: sim workers (bit-identical results)
 
 void
 runFig10()
 {
     setQuiet(true);
-    Setup hbm = makeSetup(SystemConfig::hbmSystem(), g_threads);
-    Setup pim = makeSetup(SystemConfig::pimHbmSystem(), g_threads);
-    Setup pim_nofence = makeSetup(SystemConfig::pimHbmSystem(), g_threads);
+    Setup hbm = makeSetup(SystemConfig::hbmSystem());
+    Setup pim = makeSetup(SystemConfig::pimHbmSystem());
+    Setup pim_nofence = makeSetup(SystemConfig::pimHbmSystem());
     pim_nofence.blas->setUseFences(false);
     for (unsigned ch = 0; ch < pim_nofence.system->numChannels(); ++ch)
         pim_nofence.system->controller(ch).setOrderedWindow(1);
@@ -188,9 +186,6 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--json-out=", 11) == 0)
             json_out = argv[i] + 11;
-        else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-            g_threads = static_cast<unsigned>(
-                std::strtoul(argv[i] + 10, nullptr, 0));
         else
             argv[kept++] = argv[i];
     }

@@ -58,7 +58,6 @@ namespace {
 
 std::uint64_t g_seed = 0x11a5eed;
 bool g_smoke = false;
-unsigned g_threads = 1; // --threads=: measurement-system workers
 
 constexpr unsigned kMaxBatch = 8;
 
@@ -710,9 +709,6 @@ main(int argc, char **argv)
             g_smoke = true;
         else if (std::strncmp(argv[i], "--seed=", 7) == 0)
             g_seed = std::strtoull(argv[i] + 7, nullptr, 0);
-        else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-            g_threads = static_cast<unsigned>(
-                std::strtoul(argv[i] + 10, nullptr, 0));
         else
             argv[kept++] = argv[i];
     }

@@ -18,7 +18,7 @@
  *    deviation) is golden-confirmed by the ABFT arm (>= 99%);
  *  - zero silently-wrong: the ABFT arm never returns a result with an
  *    above-band tile deviation (it is corrected to golden instead);
- *  - replay: the same seed is bit-identical for every --threads value.
+ *  - replay: re-running the same seed is bit-identical.
  *
  * Part B (serving): one PIM-HBM stack serves an open-loop FC tenant
  * while a ChaosCampaign SDC stream hammers one hot channel. The SDC
@@ -30,7 +30,6 @@
  *   --json-out=FILE  result file (default BENCH_sdc.json; "" disables)
  *   --smoke          shrink trial counts/horizons for CI sanitizer runs
  *   --seed=N         override the fault/arrival seed (recorded in JSON)
- *   --threads=N      second arm of the replay check (default 4)
  *   --trace-out=FILE Chrome-trace timeline of the degraded serving run
  *                    (the pid-8 `sdc` track shows quarantine spans)
  */
@@ -67,7 +66,6 @@ namespace {
 
 std::uint64_t g_seed = 0x5dcdef;
 bool g_smoke = false;
-unsigned g_threads = 4; // second arm of the replay check
 std::string g_traceOut;
 TraceSession g_trace;
 RunSelfMetrics g_self;
@@ -199,10 +197,9 @@ double g_opsPerKernel = 0.0; // probed once from a clean run
 /** One seeded fault campaign trial on a fresh system. */
 ArmResult
 runArm(double rate_per_op, std::uint64_t trial_seed, bool abft_on,
-       unsigned threads, const Fp16Vector &w, const Fp16Vector &x)
+       const Fp16Vector &w, const Fp16Vector &x)
 {
     PimSystem sys(benchSystem());
-    sys.setThreads(threads);
     PimBlas blas(sys);
     blas.setAbft(abft_on);
 
@@ -242,9 +239,8 @@ runKernelSweep(const Fp16Vector &w, const Fp16Vector &x,
             const std::uint64_t trial_seed =
                 g_seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)) ^
                 static_cast<std::uint64_t>(rate * 1e12);
-            const ArmResult off =
-                runArm(rate, trial_seed, false, 1, w, x);
-            const ArmResult on = runArm(rate, trial_seed, true, 1, w, x);
+            const ArmResult off = runArm(rate, trial_seed, false, w, x);
+            const ArmResult on = runArm(rate, trial_seed, true, w, x);
             PIMSIM_ASSERT(off.injected == on.injected,
                           "arms diverged: ", off.injected, " vs ",
                           on.injected, " planted flips");
@@ -283,11 +279,11 @@ runKernelSweep(const Fp16Vector &w, const Fp16Vector &x,
         g_kernelCells.push_back(on_cell);
     }
 
-    // Replay: the highest-rate campaign is bit-identical for every
-    // simulation thread count.
+    // Replay: the highest-rate campaign is bit-identical when re-run
+    // with the same seed on a fresh system.
     const std::uint64_t replay_seed = g_seed ^ 0x9e3779b97f4a7c15ULL;
-    const ArmResult a = runArm(1e-4, replay_seed, true, 1, w, x);
-    const ArmResult b = runArm(1e-4, replay_seed, true, g_threads, w, x);
+    const ArmResult a = runArm(1e-4, replay_seed, true, w, x);
+    const ArmResult b = runArm(1e-4, replay_seed, true, w, x);
     g_replayOk = a.timing.ns == b.timing.ns &&
                  a.timing.abftMismatches == b.timing.abftMismatches &&
                  a.timing.sdcConfirmed == b.timing.sdcConfirmed &&
@@ -407,8 +403,8 @@ runServingSweep()
     g_degraded =
         runServing(true, cache, horizon_ns, offered, !g_traceOut.empty());
 
-    // Serving replay: the quarantine/replan path is bit-identical for
-    // every simulation thread count.
+    // Serving replay: the quarantine/replan path is bit-identical when
+    // re-run with the same seed.
     auto digest = [&](const ServingResult &r) {
         return std::make_tuple(
             r.report.total.completed, r.report.total.retries,
@@ -416,12 +412,11 @@ runServingSweep()
             r.report.sdc.readmits, r.withdrawn, r.goodputRps,
             r.report.total.e2e.p99Ns);
     };
-    // Re-run the degraded cell against a cache warmed with a different
-    // thread count: a shared warm cache would short-circuit the
-    // measurement systems and make the comparison vacuous.
+    // Re-run the degraded cell against a freshly warmed cache: a shared
+    // warm cache would short-circuit the measurement systems and make
+    // the comparison vacuous.
     auto cold = std::make_shared<serve::ServiceTimeCache>();
     serve::ShardServiceModel probe_cold(benchSystem(), 16, cold);
-    probe_cold.setSimThreads(g_threads);
     (void)probe_cold.serviceNs(servedApp(), 1);
     ServingResult again =
         runServing(true, cold, horizon_ns, offered, false);
@@ -450,7 +445,7 @@ printResults()
                   fmt(100.0 * c.abftOverhead(), 2) + "%"},
                  12);
     }
-    std::printf("replay (threads 1 vs %u): %s\n", g_threads,
+    std::printf("replay (same seed): %s\n",
                 g_replayOk ? "bit-identical" : "DIVERGED");
 
     printHeader("SDC defense, part B: serving under a hot-channel SDC "
@@ -469,7 +464,7 @@ printResults()
     };
     serving_row("baseline", g_baseline);
     serving_row("degraded", g_degraded);
-    std::printf("serving replay (threads 1 vs %u): %s\n", g_threads,
+    std::printf("serving replay (same seed): %s\n",
                 g_servingReplayOk ? "bit-identical" : "DIVERGED");
 
     std::printf(
@@ -503,9 +498,9 @@ checkAcceptance()
                  fmt(c.ratePerOp * 1e6, 2) + "e-6/op");
     }
     if (!g_replayOk)
-        fail("kernel replay diverged across thread counts");
+        fail("kernel replay diverged on the same seed");
     if (!g_servingReplayOk)
-        fail("serving replay diverged across thread counts");
+        fail("serving replay diverged on the same seed");
     if (g_degraded.report.total.silentlyWrong != 0)
         fail("degraded serving completed silently-wrong batches");
     if (g_degraded.report.sdc.quarantines == 0)
@@ -559,7 +554,6 @@ jsonReport()
     w.field("gemv_m", kM);
     w.field("gemv_n", kN);
     w.field("ops_per_kernel", g_opsPerKernel);
-    w.field("replay_threads", g_threads);
     w.field("kernel_replay_identical", g_replayOk);
     w.field("serving_replay_identical", g_servingReplayOk);
     w.key("coverage").beginArray();
@@ -705,15 +699,10 @@ main(int argc, char **argv)
             g_smoke = true;
         else if (std::strncmp(argv[i], "--seed=", 7) == 0)
             g_seed = std::strtoull(argv[i] + 7, nullptr, 0);
-        else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-            g_threads = static_cast<unsigned>(
-                std::strtoul(argv[i] + 10, nullptr, 0));
         else
             argv[kept++] = argv[i];
     }
     argc = kept;
-    if (g_threads < 1)
-        g_threads = 1;
 
     runAll();
     for (std::size_t i = 0; i < g_kernelCells.size(); ++i) {

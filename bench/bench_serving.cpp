@@ -85,7 +85,6 @@ std::vector<SweepCell> g_cells;
 std::vector<ClosedCell> g_closed;
 double g_capacityRps = 0.0;
 std::string g_traceOut;        // --trace-out=: trace the overload cell
-unsigned g_threads = 1;        // --threads=: measurement-system workers
 TraceSession g_trace;          // per-shard batch spans + request trees
 RunSelfMetrics g_self;         // the run's own cost, into the preamble
 
@@ -101,7 +100,6 @@ makeConfig(SchedPolicy policy, double batch_timeout_ns,
     config.sched.maxBatch = kMaxBatch;
     config.sched.batchTimeoutNs = batch_timeout_ns;
     config.timingCache = cache;
-    config.simThreads = g_threads;
     // App-level latencies run to seconds under overload; widen the
     // histogram to 2 ms x 16384 = ~32 s so the tail stays resolvable.
     config.histBucketNs = 2'000'000;
@@ -390,9 +388,6 @@ main(int argc, char **argv)
             g_traceOut = argv[i] + 12;
         else if (std::strncmp(argv[i], "--seed=", 7) == 0)
             g_seed = std::strtoull(argv[i] + 7, nullptr, 0);
-        else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-            g_threads = static_cast<unsigned>(
-                std::strtoul(argv[i] + 10, nullptr, 0));
         else
             argv[kept++] = argv[i];
     }

@@ -34,11 +34,9 @@ namespace {
 
 void
 runOne(const AppSpec &app, unsigned batch, double inject_rate,
-       unsigned threads, TraceSession *trace,
-       const std::string &stats_json)
+       TraceSession *trace, const std::string &stats_json)
 {
     PimSystem hbm_sys(SystemConfig::hbmSystem());
-    hbm_sys.setThreads(threads);
     HostModel hbm_host(hbm_sys);
     AppRunner hbm(hbm_host, nullptr);
 
@@ -50,7 +48,6 @@ runOne(const AppSpec &app, unsigned batch, double inject_rate,
         pim_cfg.controller.scrubBurstsPerStep = 64;
     }
     PimSystem pim_sys(pim_cfg);
-    pim_sys.setThreads(threads);
     HostModel pim_host(pim_sys);
     PimBlas blas(pim_sys);
     AppRunner pim(pim_host, &blas);
@@ -170,9 +167,7 @@ usage(const char *prog)
                  "  --stats-json=PATH  dump PIM-system stats registry as "
                  "JSON (last app run)\n"
                  "  --trace-out=PATH   write a Chrome-trace timeline "
-                 "(chrome://tracing, ui.perfetto.dev)\n"
-                 "  --threads=N        simulation worker threads "
-                 "(bit-identical results for any N)\n",
+                 "(chrome://tracing, ui.perfetto.dev)\n",
                  prog);
 }
 
@@ -183,7 +178,6 @@ main(int argc, char **argv)
 
     std::string stats_json;
     std::string trace_out;
-    unsigned threads = 1;
     std::vector<const char *> positional;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -191,9 +185,6 @@ main(int argc, char **argv)
             stats_json = arg + 13;
         } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
             trace_out = arg + 12;
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            threads = static_cast<unsigned>(
-                std::strtoul(arg + 10, nullptr, 0));
         } else if (std::strcmp(arg, "--help") == 0) {
             usage(argv[0]);
             return 0;
@@ -240,8 +231,8 @@ main(int argc, char **argv)
             continue;
         if (which)
             printOffloadPlan(app, batch);
-        runOne(app, batch, inject_rate, threads,
-               trace_out.empty() ? nullptr : &trace, stats_json);
+        runOne(app, batch, inject_rate, trace_out.empty() ? nullptr : &trace,
+               stats_json);
     }
     if (!trace_out.empty() && !trace.writeFile(trace_out))
         return 1;

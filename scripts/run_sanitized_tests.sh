@@ -10,8 +10,8 @@
 #
 # Examples:
 #   scripts/run_sanitized_tests.sh                       # ASan+UBSan, all
-#   scripts/run_sanitized_tests.sh build-tsan thread \
-#       'parallel_test|system_test'                      # TSan stress
+#   scripts/run_sanitized_tests.sh build-ubsan undefined \
+#       'parallel_test|system_test'                      # UBSan subset
 #
 # Each sanitized build lives in its own directory so it never disturbs
 # the regular build tree.

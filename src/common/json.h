@@ -97,9 +97,8 @@ std::string iso8601UtcNow();
 
 /**
  * Self-metrics of one bench run: how expensive the run itself was.
- * The first datapoint toward a BENCH_selfperf.json trajectory — the
- * benches measure themselves so a simulator slowdown shows up in the
- * same artifacts as a modeled-system regression.
+ * The benches measure themselves so a simulator slowdown shows up in
+ * the same artifacts as a modeled-system regression.
  */
 struct RunSelfMetrics
 {

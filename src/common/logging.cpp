@@ -9,8 +9,8 @@ namespace pimsim {
 
 namespace {
 bool quiet = false;
-/** Warnings can fire from worker threads (e.g. a PIM unit fault while
- *  channels tick in parallel); serialise emission so lines stay whole. */
+/** Programs embedding the library may log from several threads;
+ *  serialise emission so lines stay whole. */
 std::mutex logMutex;
 } // namespace
 

@@ -136,37 +136,6 @@ TraceSession::flowEnd(int pid, int tid, const std::string &name,
 }
 
 void
-TraceSession::append(std::vector<TraceEvent> &&events,
-                     std::uint64_t upstream_dropped)
-{
-    if (upstream_dropped) {
-        dropped_ += upstream_dropped;
-        selfStats_.add("eventsDropped", upstream_dropped);
-    }
-    for (auto &e : events) {
-        if (!admit())
-            continue;
-        events_.push_back(std::move(e));
-    }
-}
-
-std::vector<TraceEvent>
-TraceSession::takeEvents()
-{
-    std::vector<TraceEvent> out = std::move(events_);
-    events_.clear();
-    return out;
-}
-
-std::uint64_t
-TraceSession::takeDropped()
-{
-    const std::uint64_t out = dropped_;
-    dropped_ = 0;
-    return out;
-}
-
-void
 TraceSession::setProcessName(int pid, const std::string &name)
 {
     processNames_[pid] = name;

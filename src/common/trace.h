@@ -146,24 +146,6 @@ class TraceSession
     const std::vector<TraceEvent> &events() const { return events_; }
     std::uint64_t droppedEvents() const { return dropped_; }
     std::uint64_t recordedEvents() const { return events_.size(); }
-    std::size_t maxEvents() const { return maxEvents_; }
-
-    /**
-     * Append pre-built events (the parallel simulator's per-channel
-     * staging buffers, merged at epoch barriers). Each event passes
-     * through the same cap/self-stats accounting as direct recording;
-     * `upstream_dropped` adds drops that already happened in a staging
-     * session so droppedEvents() stays an exact total.
-     */
-    void append(std::vector<TraceEvent> &&events,
-                std::uint64_t upstream_dropped = 0);
-
-    /** Move out all recorded events, leaving the session empty
-     *  (used to drain staging sessions at epoch barriers). */
-    std::vector<TraceEvent> takeEvents();
-
-    /** Return and reset the dropped-event count (staging drain). */
-    std::uint64_t takeDropped();
 
     /**
      * Register the session's self-accounting counters (recorded /

@@ -98,7 +98,6 @@ LlmEngine::LlmEngine(const LlmEngineConfig &config) : config_(config)
     batcher_ = std::make_unique<ContinuousBatcher>(config_.batcher, *kv_);
     model_ = std::make_unique<serve::ShardServiceModel>(
         config_.system, channels, config_.timingCache);
-    model_->setSimThreads(config_.simThreads);
     ffnApp_ = decodeFfnApp(config_.decoder);
 
     tenants_.reserve(config_.tenants.size());

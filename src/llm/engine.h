@@ -87,9 +87,6 @@ struct LlmEngineConfig
     std::size_t histBuckets = 8192;
     /** Optional cross-engine service-time memo (benchmark sweeps). */
     std::shared_ptr<serve::ServiceTimeCache> timingCache;
-    /** Worker threads for the measurement system (bit-identical; see
-     *  PimSystem::setThreads). */
-    unsigned simThreads = 1;
 };
 
 /** Per-tenant (or aggregate) LLM serving outcome. */

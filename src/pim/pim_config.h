@@ -68,15 +68,6 @@ struct PimConfig
      */
     bool fastModeSwitch = false;
 
-    /**
-     * Execute SIMD lane math as convert-once batch passes (widen the
-     * whole row to float, compute, round back) instead of per-lane
-     * scalar conversions. Both paths are bit-identical — the toggle
-     * exists so bench_selfperf can measure the scalar baseline and so
-     * tests can run the same workload through both implementations.
-     */
-    bool batchedLanes = true;
-
     PimConfig withFastModeSwitch() const
     {
         PimConfig c = *this;

@@ -5,49 +5,17 @@
 
 namespace pimsim {
 
-
 namespace {
 
 /**
- * One SIMD lane operation in the configured number format. Lanes are
- * carried as raw 16-bit patterns (Fp16 wrappers); in BF16 mode the same
- * bits are interpreted as bfloat16 (Table I's alternative datapath).
- */
-Fp16
-laneAdd(PimNumberFormat fmt, Fp16 a, Fp16 b)
-{
-    if (fmt == PimNumberFormat::Fp16)
-        return fp16Add(a, b);
-    return Fp16::fromBits(
-        bf16Add(Bf16::fromBits(a.bits()), Bf16::fromBits(b.bits())).bits());
-}
-
-Fp16
-laneMul(PimNumberFormat fmt, Fp16 a, Fp16 b)
-{
-    if (fmt == PimNumberFormat::Fp16)
-        return fp16Mul(a, b);
-    return Fp16::fromBits(
-        bf16Mul(Bf16::fromBits(a.bits()), Bf16::fromBits(b.bits())).bits());
-}
-
-Fp16
-laneMac(PimNumberFormat fmt, Fp16 a, Fp16 b, Fp16 c)
-{
-    if (fmt == PimNumberFormat::Fp16)
-        return fp16Mac(a, b, c);
-    return Fp16::fromBits(bf16Mac(Bf16::fromBits(a.bits()),
-                                  Bf16::fromBits(b.bits()),
-                                  Bf16::fromBits(c.bits()))
-                              .bits());
-}
-
-/**
- * Batch lane passes: widen the whole SIMD row to float once, compute in
- * float, round back once. Bit-identical to the per-lane scalar helpers
- * above — the float add/mul of two 16-bit-significand values is exact,
- * and the MAC keeps the non-fused double rounding by rounding the
- * product row to format precision before the accumulate.
+ * SIMD row math in the configured number format. Lanes are carried as
+ * raw 16-bit patterns (Fp16 wrappers); in BF16 mode the same bits are
+ * interpreted as bfloat16 (Table I's alternative datapath). Each pass
+ * widens the whole row to float once, computes in float and rounds back
+ * once. This is bit-identical to the per-lane scalar fp16Add/fp16Mul/
+ * fp16Mac (and bf16*) ops: the float add/mul of two 16-bit-significand
+ * values is exact, and the MAC keeps the non-fused double rounding by
+ * rounding the product row to format precision before the accumulate.
  */
 void
 lanesWiden(PimNumberFormat fmt, const LaneVector &v, float *out)
@@ -76,7 +44,7 @@ lanesNarrow(PimNumberFormat fmt, const float *in)
 }
 
 LaneVector
-batchAdd(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b)
+rowAdd(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b)
 {
     float fa[kSimdLanes], fb[kSimdLanes];
     lanesWiden(fmt, a, fa);
@@ -87,7 +55,7 @@ batchAdd(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b)
 }
 
 LaneVector
-batchMul(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b)
+rowMul(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b)
 {
     float fa[kSimdLanes], fb[kSimdLanes];
     lanesWiden(fmt, a, fa);
@@ -98,8 +66,8 @@ batchMul(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b)
 }
 
 LaneVector
-batchMac(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b,
-         const LaneVector &acc)
+rowMac(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b,
+       const LaneVector &acc)
 {
     float fa[kSimdLanes], fb[kSimdLanes], fc[kSimdLanes];
     lanesWiden(fmt, a, fa);
@@ -115,42 +83,6 @@ batchMac(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b,
     for (std::size_t i = 0; i < kSimdLanes; ++i)
         fa[i] += fc[i];
     return lanesNarrow(fmt, fa);
-}
-
-LaneVector
-rowAdd(bool batched, PimNumberFormat fmt, const LaneVector &a,
-       const LaneVector &b)
-{
-    if (batched)
-        return batchAdd(fmt, a, b);
-    LaneVector r;
-    for (std::size_t i = 0; i < kSimdLanes; ++i)
-        r[i] = laneAdd(fmt, a[i], b[i]);
-    return r;
-}
-
-LaneVector
-rowMul(bool batched, PimNumberFormat fmt, const LaneVector &a,
-       const LaneVector &b)
-{
-    if (batched)
-        return batchMul(fmt, a, b);
-    LaneVector r;
-    for (std::size_t i = 0; i < kSimdLanes; ++i)
-        r[i] = laneMul(fmt, a[i], b[i]);
-    return r;
-}
-
-LaneVector
-rowMac(bool batched, PimNumberFormat fmt, const LaneVector &a,
-       const LaneVector &b, const LaneVector &acc)
-{
-    if (batched)
-        return batchMac(fmt, a, b, acc);
-    LaneVector r;
-    for (std::size_t i = 0; i < kSimdLanes; ++i)
-        r[i] = laneMac(fmt, a[i], b[i], acc[i]);
-    return r;
 }
 
 } // namespace
@@ -405,8 +337,7 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
             fetchOperand(inst.src0, s0, type, col, bus_data, false);
         const LaneVector b =
             fetchOperand(inst.src1, s1, type, col, bus_data, true);
-        writeResult(inst.dst, d, col,
-                    rowAdd(config_.batchedLanes, config_.format, a, b));
+        writeResult(inst.dst, d, col, rowAdd(config_.format, a, b));
         break;
       }
       case PimOpcode::Mul: {
@@ -414,8 +345,7 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
             fetchOperand(inst.src0, s0, type, col, bus_data, false);
         const LaneVector b =
             fetchOperand(inst.src1, s1, type, col, bus_data, true);
-        writeResult(inst.dst, d, col,
-                    rowMul(config_.batchedLanes, config_.format, a, b));
+        writeResult(inst.dst, d, col, rowMul(config_.format, a, b));
         break;
       }
       case PimOpcode::Mac: {
@@ -426,8 +356,7 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
             fetchOperand(inst.src1, s1, type, col, bus_data, true);
         const LaneVector acc =
             fetchOperand(inst.dst, d, type, col, bus_data, false);
-        writeResult(inst.dst, d, col,
-                    rowMac(config_.batchedLanes, config_.format, a, b, acc));
+        writeResult(inst.dst, d, col, rowMac(config_.format, a, b, acc));
         break;
       }
       case PimOpcode::Mad: {
@@ -444,8 +373,7 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
             noteExposure();
         }
         const LaneVector c = broadcast(regs_.srf(1, addend_idx));
-        writeResult(inst.dst, d, col,
-                    rowMac(config_.batchedLanes, config_.format, a, b, c));
+        writeResult(inst.dst, d, col, rowMac(config_.format, a, b, c));
         break;
       }
       default:

@@ -27,20 +27,11 @@ ShardServiceModel::ShardServiceModel(const SystemConfig &base,
 }
 
 void
-ShardServiceModel::setSimThreads(unsigned threads)
-{
-    simThreads_ = std::max(1u, threads);
-    if (system_)
-        system_->setThreads(simThreads_);
-}
-
-void
 ShardServiceModel::ensureRunner()
 {
     if (runner_)
         return;
     system_ = std::make_unique<PimSystem>(config_);
-    system_->setThreads(simThreads_);
     host_ = std::make_unique<HostModel>(*system_);
     blas_ = config_.withPim() ? std::make_unique<PimBlas>(*system_) : nullptr;
     runner_ = std::make_unique<AppRunner>(*host_, blas_.get());
@@ -72,20 +63,11 @@ HostFallbackModel::HostFallbackModel(const SystemConfig &base,
 }
 
 void
-HostFallbackModel::setSimThreads(unsigned threads)
-{
-    simThreads_ = std::max(1u, threads);
-    if (system_)
-        system_->setThreads(simThreads_);
-}
-
-void
 HostFallbackModel::ensureRunner()
 {
     if (runner_)
         return;
     system_ = std::make_unique<PimSystem>(config_);
-    system_->setThreads(simThreads_);
     host_ = std::make_unique<HostModel>(*system_);
     runner_ = std::make_unique<AppRunner>(*host_, nullptr);
 }

@@ -72,21 +72,12 @@ class ShardServiceModel
 
     unsigned channels() const { return channels_; }
 
-    /**
-     * Simulation threads for the measurement system (see
-     * PimSystem::setThreads; results are bit-identical for any count).
-     * Applies to the lazily built runner, so call before the first miss
-     * for full effect.
-     */
-    void setSimThreads(unsigned threads);
-
   private:
     /** The measurement system is built on first miss only. */
     void ensureRunner();
 
     SystemConfig config_;
     unsigned channels_;
-    unsigned simThreads_ = 1;
     std::shared_ptr<ServiceTimeCache> cache_;
 
     std::unique_ptr<PimSystem> system_;
@@ -118,15 +109,11 @@ class HostFallbackModel
     /** Host execution time of one dispatch of `app` at `batch`. */
     double serviceNs(const AppSpec &app, unsigned batch);
 
-    /** Simulation threads for the measurement system (bit-identical). */
-    void setSimThreads(unsigned threads);
-
   private:
     /** The measurement system is built on first miss only. */
     void ensureRunner();
 
     SystemConfig config_;
-    unsigned simThreads_ = 1;
     std::shared_ptr<ServiceTimeCache> cache_;
 
     std::unique_ptr<PimSystem> system_;

@@ -101,9 +101,6 @@ ServingEngine::ServingEngine(const ServeConfig &config)
     }
     hostModel_ = std::make_unique<HostFallbackModel>(config.system,
                                                      config.timingCache);
-    for (auto &model : models_)
-        model->setSimThreads(config.simThreads);
-    hostModel_->setSimThreads(config.simThreads);
     servers_.resize(plan_.numShards());
     shards_.resize(plan_.numShards());
     for (auto &shard : shards_)

@@ -109,12 +109,6 @@ struct ServeConfig
     bool deadlineAdmission = true;
     /** Seed of the retry-backoff jitter stream. */
     std::uint64_t retrySeed = 0x7e57;
-    /**
-     * Worker threads for the per-shard measurement systems (see
-     * PimSystem::setThreads). Bit-identical for any value; only the
-     * wall-clock cost of filling the service-time cache changes.
-     */
-    unsigned simThreads = 1;
 };
 
 /** Latency distribution summary extracted from a Histogram. */

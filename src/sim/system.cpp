@@ -8,15 +8,6 @@
 
 namespace pimsim {
 
-namespace {
-
-/** Staging logs must never evict: the barrier merge needs every event
- *  to replay counters and handlers exactly. Cleared every epoch, so the
- *  high-water mark is one epoch's events per channel. */
-constexpr std::size_t kUnboundedLog = ~std::size_t{0};
-
-} // namespace
-
 PimSystem::PimSystem(const SystemConfig &config)
     : config_(config),
       mapping_(config.geometry, config.numChannels(), config.mapping)
@@ -25,12 +16,10 @@ PimSystem::PimSystem(const SystemConfig &config)
         controllers_.push_back(std::make_unique<MemoryController>(
             config.geometry, config.timing, config.controller,
             config.withPim(), config.pim));
-        // Channels record ECC events into per-channel staging logs while
-        // ticking (possibly concurrently); mergeEpochSinks() replays
-        // them into errorLog_ at every barrier.
-        errorStaging_.push_back(
-            std::make_unique<MemErrorLog>(kUnboundedLog));
-        controllers_.back()->setErrorSink(errorStaging_.back().get(), ch);
+        // Channels record ECC events into the shared staging log while
+        // ticking; mergeErrorStaging() replays them into errorLog_ at
+        // the end of every epoch.
+        controllers_.back()->setErrorSink(&errorStaging_, ch);
         nextTick_.push_back(0);
 
         auto &ctrl = *controllers_.back();
@@ -43,21 +32,19 @@ PimSystem::PimSystem(const SystemConfig &config)
     registry_.addGroup("serve", &serveStats_);
 }
 
-PimSystem::~PimSystem() = default;
-
 MemErrorLog &
 PimSystem::errorLog()
 {
     // Driver/runtime DataStore accesses between pump calls record into
-    // the per-channel staging logs; fold them in before the caller looks.
-    mergeEpochSinks();
+    // the staging log; fold them in before the caller looks.
+    mergeErrorStaging();
     return errorLog_;
 }
 
 const MemErrorLog &
 PimSystem::errorLog() const
 {
-    const_cast<PimSystem *>(this)->mergeEpochSinks();
+    const_cast<PimSystem *>(this)->mergeErrorStaging();
     return errorLog_;
 }
 
@@ -107,37 +94,16 @@ PimSystem::dumpStatsJson(std::ostream &os)
 void
 PimSystem::setTraceSession(TraceSession *session)
 {
-    traceSession_ = session;
-    traceStaging_.clear();
-    if (session) {
+    if (session)
         session->setProcessName(kTracePidDevice, "device");
-        for (unsigned ch = 0; ch < controllers_.size(); ++ch) {
+    for (unsigned ch = 0; ch < controllers_.size(); ++ch) {
+        if (session) {
             session->setThreadName(kTracePidDevice, static_cast<int>(ch),
                                    "ch" + std::to_string(ch));
         }
-        // Channels record into per-channel staging sessions (merged at
-        // every barrier) so ticking never touches the shared session.
-        // Staging carries the same cap as the destination: it can always
-        // hold at least as much as the global session could still admit.
-        for (unsigned ch = 0; ch < controllers_.size(); ++ch) {
-            traceStaging_.push_back(
-                std::make_unique<TraceSession>(session->maxEvents()));
-        }
+        controllers_[ch]->channel().setTraceSession(session,
+                                                    static_cast<int>(ch));
     }
-    for (unsigned ch = 0; ch < controllers_.size(); ++ch) {
-        controllers_[ch]->channel().setTraceSession(
-            session ? traceStaging_[ch].get() : nullptr,
-            static_cast<int>(ch));
-    }
-}
-
-void
-PimSystem::setThreads(unsigned threads)
-{
-    threads_ = std::max(1u, threads);
-    pool_.reset();
-    if (threads_ > 1)
-        pool_ = std::make_unique<SimThreadPool>(threads_);
 }
 
 bool
@@ -176,8 +142,8 @@ PimSystem::runChannelEpoch(unsigned ch, Cycle target, bool allow_scrub)
     // the serial loop would pick is a no-op for channels whose own next
     // event lies later — so replaying just this channel's event (and
     // scrub) times in order is exactly the serial execution, state for
-    // state. All writes land in channel-local state or this channel's
-    // staging sinks.
+    // state. All writes land in channel-local state, the shared ECC
+    // staging log, or the trace session.
     MemoryController &ctrl = *controllers_[ch];
     Cycle ch_now = now_;
     Cycle last = now_;
@@ -217,88 +183,36 @@ PimSystem::runChannelEpoch(unsigned ch, Cycle target, bool allow_scrub)
     }
 }
 
-bool
-PimSystem::channelDue(unsigned ch, Cycle target, bool allow_scrub) const
-{
-    const MemoryController &ctrl = *controllers_[ch];
-    if (!ctrl.idle(now_) && std::max(nextTick_[ch], now_) <= target)
-        return true;
-    if (allow_scrub) {
-        const Cycle scrub = ctrl.nextScrubDue();
-        if (scrub != kNoCycle && std::max(scrub, now_) <= target)
-            return true;
-    }
-    return false;
-}
-
-void
+Cycle
 PimSystem::runEpoch(Cycle target, bool allow_scrub)
 {
-    const unsigned n = numChannels();
-    epochLast_.assign(n, now_);
-    // Fan out only when at least two channels actually have work in the
-    // epoch; a single due channel (common in fine-grained step() driving)
-    // is cheaper on the calling thread.
-    unsigned due = 0;
-    if (pool_) {
-        for (unsigned ch = 0; ch < n && due < 2; ++ch) {
-            if (channelDue(ch, target, allow_scrub))
-                ++due;
-        }
-    }
-    if (pool_ && due >= 2) {
-        pool_->parallelFor(n, [&](std::size_t ch) {
-            epochLast_[ch] = runChannelEpoch(static_cast<unsigned>(ch),
-                                             target, allow_scrub);
-        });
-    } else {
-        for (unsigned ch = 0; ch < n; ++ch)
-            epochLast_[ch] = runChannelEpoch(ch, target, allow_scrub);
-    }
-    mergeEpochSinks();
+    Cycle last = now_;
+    for (unsigned ch = 0; ch < numChannels(); ++ch)
+        last = std::max(last, runChannelEpoch(ch, target, allow_scrub));
+    mergeErrorStaging();
+    return last;
 }
 
 void
-PimSystem::mergeEpochSinks()
+PimSystem::mergeErrorStaging()
 {
-    // Replay staged ECC events into the global log in (cycle, channel)
-    // order — exactly the order the serial target-by-target sweep
-    // records them in (channels tick in index order at each target).
-    // record() reproduces counters, the bounded ring, and handler calls.
-    bool any = false;
-    for (const auto &log : errorStaging_) {
-        if (!log->recent().empty()) {
-            any = true;
-            break;
-        }
-    }
-    if (any) {
-        std::vector<MemErrorEvent> merged;
-        for (auto &log : errorStaging_) {
-            merged.insert(merged.end(), log->recent().begin(),
-                          log->recent().end());
-            log->clear();
-        }
-        std::stable_sort(merged.begin(), merged.end(),
-                         [](const MemErrorEvent &a, const MemErrorEvent &b) {
-                             return a.cycle < b.cycle;
-                         });
-        for (const MemErrorEvent &e : merged)
-            errorLog_.record(e);
-    }
-
-    // Device trace events: appending per-channel buffers in channel
-    // order reproduces the serial insertion order after write()'s stable
-    // timestamp sort (equal-timestamp events share a target cycle, where
-    // the serial loop also ticked channels in index order).
-    if (traceSession_) {
-        for (auto &staging : traceStaging_) {
-            const std::uint64_t dropped = staging->takeDropped();
-            auto events = staging->takeEvents();
-            if (!events.empty() || dropped)
-                traceSession_->append(std::move(events), dropped);
-        }
-    }
+    // The epoch replays channel by channel, so the staging log holds
+    // channel 0's events, then channel 1's, and so on. A target-by-
+    // target sweep over all channels records them in (cycle, channel)
+    // order instead; the stable sort restores that order (keeping
+    // same-channel, same-cycle events in recording order) so the log,
+    // its bounded ring and handler calls match the sweep exactly.
+    if (errorStaging_.recent().empty())
+        return;
+    std::vector<MemErrorEvent> staged = errorStaging_.recent();
+    errorStaging_.clear();
+    std::stable_sort(staged.begin(), staged.end(),
+                     [](const MemErrorEvent &a, const MemErrorEvent &b) {
+                         return a.cycle != b.cycle ? a.cycle < b.cycle
+                                                   : a.channel < b.channel;
+                     });
+    for (const MemErrorEvent &e : staged)
+        errorLog_.record(e);
 }
 
 bool
@@ -336,12 +250,8 @@ PimSystem::runUntilIdle()
 {
     assertTickInvariant();
     // One unbounded epoch: every channel drains its own backlog to
-    // completion, which is also the coarsest (fastest) parallel grain.
-    runEpoch(kNoCycle - 1, /*allow_scrub=*/false);
-    Cycle last = now_;
-    for (const Cycle c : epochLast_)
-        last = std::max(last, c);
-    now_ = last;
+    // completion.
+    now_ = runEpoch(kNoCycle - 1, /*allow_scrub=*/false);
 }
 
 bool

@@ -8,16 +8,15 @@
  * event loop; the loop skips dead cycles using the controllers' next-
  * event hints, so large idle gaps cost nothing.
  *
- * Channels are architecturally independent between barriers (the paper's
- * Section III pseudo-channel model): below PimSystem no channel ever
- * reads another channel's state, and cross-channel interaction happens
- * only through the caller's enqueue/drain between pump calls. step(),
- * advance() and runUntilIdle() therefore execute as *epochs*: every
- * channel runs all of its own events in [now_, target] independently
- * (optionally on a worker pool, see setThreads), then a barrier merges
- * the per-channel error-log and trace staging buffers in deterministic
- * (time, channel) order. Output — stats JSON, trace files, the error
- * log — is bit-identical to a single-threaded run (DESIGN.md §14).
+ * Channels are architecturally independent between host barriers (the
+ * paper's Section III pseudo-channel model): below PimSystem no channel
+ * ever reads another channel's state, and cross-channel interaction
+ * happens only through the caller's enqueue/drain between pump calls.
+ * step(), advance() and runUntilIdle() therefore execute as *epochs*:
+ * each channel in turn replays all of its own events in [now_, target],
+ * then the epoch's ECC events are merged into the error log in
+ * (cycle, channel) order — the order a target-by-target sweep over all
+ * channels would record them in (DESIGN.md §14).
  */
 
 #ifndef PIMSIM_SIM_SYSTEM_H
@@ -28,13 +27,13 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/stats.h"
 #include "common/stats_registry.h"
 #include "dram/address.h"
 #include "mem/controller.h"
 #include "reliability/mem_error.h"
 #include "sim/system_config.h"
-#include "sim/worker_pool.h"
 
 namespace pimsim {
 
@@ -45,7 +44,9 @@ class PimSystem
 {
   public:
     explicit PimSystem(const SystemConfig &config);
-    ~PimSystem(); // out of line: TraceSession is only forward-declared
+    // Controllers and the stats registry hold pointers into this object.
+    PimSystem(const PimSystem &) = delete;
+    PimSystem &operator=(const PimSystem &) = delete;
 
     const SystemConfig &config() const { return config_; }
     const AddressMapping &mapping() const { return mapping_; }
@@ -57,6 +58,7 @@ class PimSystem
 
     MemoryController &controller(unsigned channel)
     {
+        PIMSIM_ASSERT(channel < controllers_.size(), "bad channel ", channel);
         return *controllers_[channel];
     }
 
@@ -93,6 +95,7 @@ class PimSystem
     /** Drain completed responses from one channel. */
     std::vector<MemResponse> drain(unsigned channel)
     {
+        PIMSIM_ASSERT(channel < controllers_.size(), "bad channel ", channel);
         return controllers_[channel]->drainResponses(now_);
     }
 
@@ -110,9 +113,8 @@ class PimSystem
      * System-wide machine-check log: every ECC event seen by any channel
      * (demand access or scrub) lands here. The runtime polls it to
      * decide whether a PIM kernel's data can be trusted. The accessor
-     * first drains any per-channel staging events (e.g. from a driver
-     * DataStore access between pump calls), so the log is always current
-     * when read from the caller's thread.
+     * first merges any staged events (e.g. from a driver DataStore
+     * access between pump calls), so the log is always current.
      */
     MemErrorLog &errorLog();
     const MemErrorLog &errorLog() const;
@@ -148,22 +150,10 @@ class PimSystem
     /**
      * Attach (or detach, with nullptr) a Chrome-trace session: every
      * pseudo channel records its command spans on a per-channel device
-     * track. Channel events are staged per channel and merged into
-     * `session` at every epoch barrier, so the session only ever sees
-     * single-threaded access and the final file is bit-identical no
-     * matter how many simulation threads run.
+     * track. Events land in the session in epoch replay order (channel
+     * by channel); write()'s stable timestamp sort orders the file.
      */
     void setTraceSession(TraceSession *session);
-
-    /**
-     * Tick channels on `threads` OS threads (including the caller);
-     * 1 (the default) is fully serial with no pool. Results are
-     * bit-identical for every thread count. Note the PseudoChannel
-     * text-trace ostream is a serial-only debugging aid: attach it only
-     * with threads == 1.
-     */
-    void setThreads(unsigned threads);
-    unsigned threads() const { return threads_; }
 
   private:
     /**
@@ -172,14 +162,12 @@ class PimSystem
      * channel actually did work (now_ if it did none).
      */
     Cycle runChannelEpoch(unsigned ch, Cycle target, bool allow_scrub);
-    /** Dispatch runChannelEpoch over all channels, then merge sinks. */
-    void runEpoch(Cycle target, bool allow_scrub);
-    /** True if the channel has an event or scrub step at or before
-     *  `target` (seen from now_). */
-    bool channelDue(unsigned ch, Cycle target, bool allow_scrub) const;
-    /** Drain per-channel staging buffers into the global error log and
-     *  trace session in deterministic (time, channel) order. */
-    void mergeEpochSinks();
+    /** Run every channel's epoch in index order, then merge ECC events.
+     *  Returns the last cycle at which any channel did work. */
+    Cycle runEpoch(Cycle target, bool allow_scrub);
+    /** Replay the staged ECC events into errorLog_ in (cycle, channel)
+     *  order. */
+    void mergeErrorStaging();
     /** Event-loop invariant: a non-idle channel must have a live
      *  next-tick hint (enqueues must go through tryEnqueue). */
     void assertTickInvariant() const;
@@ -192,14 +180,9 @@ class PimSystem
     std::vector<std::unique_ptr<MemoryController>> controllers_;
     std::vector<Cycle> nextTick_;
     Cycle now_ = 0;
-
-    // Parallel execution state (DESIGN.md §14).
-    unsigned threads_ = 1;
-    std::unique_ptr<SimThreadPool> pool_;
-    std::vector<Cycle> epochLast_;
-    std::vector<std::unique_ptr<MemErrorLog>> errorStaging_;
-    TraceSession *traceSession_ = nullptr;
-    std::vector<std::unique_ptr<TraceSession>> traceStaging_;
+    /** ECC events recorded by every controller since the last merge.
+     *  Unbounded: the merge must replay every event into errorLog_. */
+    MemErrorLog errorStaging_{~std::size_t{0}};
 };
 
 } // namespace pimsim

@@ -197,12 +197,11 @@ TEST(AbftGemv, Fp16EdgeValuesNeverFalseAlarm)
         EXPECT_EQ(y[i].bits(), golden[i].bits()) << "row " << i;
 }
 
-TEST(AbftGemv, ReplayIsBitIdenticalAcrossSimThreads)
+TEST(AbftGemv, SameSeedReplayIsBitIdentical)
 {
     setQuiet(true);
-    auto run = [](unsigned threads, Fp16Vector &y) {
+    auto run = [](Fp16Vector &y) {
         PimSystem sys(abftSystem());
-        sys.setThreads(threads);
         PimBlas blas(sys);
         blas.setAbft(true);
         const unsigned m = 256, n = 256;
@@ -214,16 +213,17 @@ TEST(AbftGemv, ReplayIsBitIdenticalAcrossSimThreads)
         return blas.gemv(w, m, n, x, y);
     };
 
-    Fp16Vector y1, y4;
-    const BlasTiming t1 = run(1, y1);
-    const BlasTiming t4 = run(4, y4);
-    EXPECT_EQ(t1.ns, t4.ns);
-    EXPECT_EQ(t1.abftChecks, t4.abftChecks);
-    EXPECT_EQ(t1.abftMismatches, t4.abftMismatches);
-    EXPECT_EQ(t1.sdcConfirmed, t4.sdcConfirmed);
-    ASSERT_EQ(y1.size(), y4.size());
+    Fp16Vector y1, y2;
+    const BlasTiming t1 = run(y1);
+    const BlasTiming t2 = run(y2);
+    EXPECT_GT(t1.abftMismatches, 0u); // the planted flip must be seen
+    EXPECT_EQ(t1.ns, t2.ns);
+    EXPECT_EQ(t1.abftChecks, t2.abftChecks);
+    EXPECT_EQ(t1.abftMismatches, t2.abftMismatches);
+    EXPECT_EQ(t1.sdcConfirmed, t2.sdcConfirmed);
+    ASSERT_EQ(y1.size(), y2.size());
     for (std::size_t i = 0; i < y1.size(); ++i)
-        EXPECT_EQ(y1[i].bits(), y4[i].bits()) << "row " << i;
+        EXPECT_EQ(y1[i].bits(), y2[i].bits()) << "row " << i;
 }
 
 // ---------- SdcMonitorConfig validation ----------
@@ -620,13 +620,12 @@ TEST(ServingSdc, MigrationHoldPausesButNeverStallsDrain)
     EXPECT_EQ(report.total.completed, report.total.admitted);
 }
 
-TEST(ServingSdc, ReplayIsBitIdenticalAcrossSimThreads)
+TEST(ServingSdc, SameSeedReplayIsBitIdentical)
 {
     setQuiet(true);
-    auto digest = [](unsigned threads) {
+    auto digest = [] {
         ScriptedSdc sdc;
         serve::ServeConfig config = sdcServeConfig(/*abft=*/true);
-        config.simThreads = threads;
         serve::ServingEngine engine(std::move(config));
         engine.setSdcModel(&sdc);
         for (double t = 0.0; t < 10e6; t += 50'000.0)
@@ -642,7 +641,9 @@ TEST(ServingSdc, ReplayIsBitIdenticalAcrossSimThreads)
                                report.sdc.quarantines, report.sdc.readmits,
                                report.total.e2e.p99Ns, sum);
     };
-    EXPECT_EQ(digest(1), digest(3));
+    const auto first = digest();
+    EXPECT_GE(std::get<5>(first), 1u); // a quarantine round trip ran
+    EXPECT_EQ(first, digest());
 }
 
 } // namespace

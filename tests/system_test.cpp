@@ -150,6 +150,20 @@ TEST(PimSystemLoopDeathTest, DirectControllerEnqueueTripsInvariant)
         "cleared next-tick hint");
 }
 
+TEST(PimSystemLoopDeathTest, OutOfRangeChannelIsRejected)
+{
+    // drain() and controller() check the channel index like tryEnqueue
+    // does, instead of indexing past the controller array.
+    SystemConfig cfg = SystemConfig::hbmSystem();
+    cfg.numStacks = 1;
+    PimSystem sys(cfg);
+    const unsigned bad = sys.numChannels();
+    EXPECT_DEATH((void)sys.drain(bad), "bad channel");
+    EXPECT_DEATH((void)sys.controller(bad), "bad channel");
+    MemRequest r;
+    EXPECT_DEATH((void)sys.tryEnqueue(bad, r), "bad channel");
+}
+
 TEST(PimSystemLoop, StatAggregationSums)
 {
     SystemConfig cfg = SystemConfig::hbmSystem();
