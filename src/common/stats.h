@@ -89,10 +89,54 @@ class StatGroup
     void dump(std::ostream &os) const;
 
   private:
+    friend class StatCounter;
+
     std::string name_;
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> scalars_;
     std::map<std::string, class Histogram *> histograms_;
+};
+
+/**
+ * A handle on one counter of a StatGroup, for per-command paths. The
+ * first add() creates the entry exactly as StatGroup::add() does, so an
+ * untouched counter still never appears in a dump; later adds update
+ * the stored value without a name lookup. The name must outlive the
+ * handle (a string literal), and the group must outlive it too (reset()
+ * keeps the entry). A handle on a null group does nothing.
+ */
+class StatCounter
+{
+  public:
+    StatCounter() : slot_(nullptr) {}
+    StatCounter(StatGroup *group, const char *name) : group_(group)
+    {
+        if (group)
+            name_ = name;
+        else
+            slot_ = nullptr;
+    }
+
+    void add(std::uint64_t delta = 1)
+    {
+        if (group_) {
+            slot_ = &group_->counters_[name_];
+            group_ = nullptr;
+        }
+        if (slot_)
+            *slot_ += delta;
+    }
+
+  private:
+    /** Set until the first add(), which binds the slot. */
+    StatGroup *group_ = nullptr;
+    // One word: owner objects hold dozens of handles, and their size is
+    // part of every system construction.
+    union
+    {
+        const char *name_;    ///< while group_ is set
+        std::uint64_t *slot_; ///< once bound (nullptr: a no-op handle)
+    };
 };
 
 /** Simple fixed-bucket histogram for latency distributions. */

@@ -12,6 +12,7 @@
 #define PIMSIM_DRAM_COMMAND_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 
@@ -29,6 +30,9 @@ enum class CommandType : std::uint8_t
     Wr,   ///< column write (one 32 B burst)
     Ref,  ///< all-bank refresh
 };
+
+/** Number of CommandType values (for tables indexed by type). */
+inline constexpr std::size_t kNumCommandTypes = 6;
 
 const char *commandTypeName(CommandType type);
 

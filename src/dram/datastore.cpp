@@ -8,7 +8,48 @@
 
 namespace pimsim {
 
-DataStore::DataStore(const HbmGeometry &geom) : geom_(geom) {}
+DataStore::DataStore(const HbmGeometry &geom)
+    : geom_(geom),
+      rowBytes_(geom.bytesPerRow() +
+                (geom.onDieEcc ? std::size_t{geom.colsPerRow} * 4 : 0))
+{
+    PIMSIM_ASSERT(geom.banksPerPch() <= kMaxBanks,
+                  "DataStore supports at most ", kMaxBanks,
+                  " banks per pseudo channel");
+}
+
+std::uint8_t *
+DataStore::findRow(unsigned bank, unsigned row) const
+{
+    RowSlot &slot = slots_[bank];
+    if (slot.row == row)
+        return slot.bytes;
+    const auto it = rows_.find(key(bank, row));
+    if (it == rows_.end())
+        return nullptr;
+    // The mapped vector itself is not const; only this accessor is.
+    slot = RowSlot{row, const_cast<std::uint8_t *>(it->second.data())};
+    return slot.bytes;
+}
+
+std::uint8_t *
+DataStore::allocateRow(unsigned bank, unsigned row)
+{
+    if (std::uint8_t *bytes = findRow(bank, row))
+        return bytes;
+    auto &storage = rows_[key(bank, row)];
+    storage.assign(rowBytes_, 0);
+    if (geom_.onDieEcc) {
+        // Check bytes for an all-zero burst are non-zero only in the
+        // parity sense; initialise every column's check correctly.
+        const EccBytes zero_check = eccEncodeBurst(Burst{});
+        std::uint8_t *check = storage.data() + geom_.bytesPerRow();
+        for (unsigned c = 0; c < geom_.colsPerRow; ++c)
+            std::memcpy(check + c * 4, zero_check.data(), 4);
+    }
+    slots_[bank] = RowSlot{row, storage.data()};
+    return storage.data();
+}
 
 Burst
 DataStore::read(unsigned bank, unsigned row, unsigned col,
@@ -21,35 +62,31 @@ DataStore::read(unsigned bank, unsigned row, unsigned col,
     if (ecc)
         *ecc = EccStatus::Ok;
     Burst burst{};
-    auto it = rows_.find(key(bank, row));
-    if (it == rows_.end())
+    const std::uint8_t *bytes = findRow(bank, row);
+    if (!bytes)
         return burst;
-    std::memcpy(burst.data(), it->second.data() + col * kBurstBytes,
-                kBurstBytes);
+    std::memcpy(burst.data(), bytes + col * kBurstBytes, kBurstBytes);
 
     if (geom_.onDieEcc) {
-        const auto eit = ecc_.find(key(bank, row));
-        if (eit != ecc_.end()) {
-            EccBytes check;
-            std::memcpy(check.data(), eit->second.data() + col * 4, 4);
-            const EccStatus status = eccDecodeBurst(burst, check);
-            if (ecc)
-                *ecc = status;
-            switch (status) {
-              case EccStatus::Ok:
-                break;
-              case EccStatus::Corrected:
-                ++eccCorrected_;
-                break;
-              case EccStatus::Uncorrectable:
-                ++eccUncorrectable_;
-                PIMSIM_WARN("uncorrectable ECC error at bank ", bank,
-                            " row ", row, " col ", col);
-                break;
-            }
-            if (status != EccStatus::Ok && eccHook_)
-                eccHook_(bank, row, col, status);
+        EccBytes check;
+        std::memcpy(check.data(), bytes + geom_.bytesPerRow() + col * 4, 4);
+        const EccStatus status = eccDecodeBurst(burst, check);
+        if (ecc)
+            *ecc = status;
+        switch (status) {
+          case EccStatus::Ok:
+            break;
+          case EccStatus::Corrected:
+            ++eccCorrected_;
+            break;
+          case EccStatus::Uncorrectable:
+            ++eccUncorrectable_;
+            PIMSIM_WARN("uncorrectable ECC error at bank ", bank, " row ",
+                        row, " col ", col);
+            break;
         }
+        if (status != EccStatus::Ok && eccHook_)
+            eccHook_(bank, row, col, status);
     }
     return burst;
 }
@@ -62,11 +99,8 @@ DataStore::readRaw(unsigned bank, unsigned row, unsigned col) const
                   "readRaw out of range: bank ", bank, " row ", row, " col ",
                   col);
     Burst burst{};
-    auto it = rows_.find(key(bank, row));
-    if (it == rows_.end())
-        return burst;
-    std::memcpy(burst.data(), it->second.data() + col * kBurstBytes,
-                kBurstBytes);
+    if (const std::uint8_t *bytes = findRow(bank, row))
+        std::memcpy(burst.data(), bytes + col * kBurstBytes, kBurstBytes);
     return burst;
 }
 
@@ -78,28 +112,13 @@ DataStore::write(unsigned bank, unsigned row, unsigned col,
                       col < geom_.colsPerRow,
                   "write out of range: bank ", bank, " row ", row, " col ",
                   col);
-    auto &storage = rows_[key(bank, row)];
-    if (storage.empty())
-        storage.assign(geom_.bytesPerRow(), 0);
-    std::memcpy(storage.data() + col * kBurstBytes, data.data(),
-                kBurstBytes);
-
+    std::uint8_t *bytes = allocateRow(bank, row);
+    std::memcpy(bytes + col * kBurstBytes, data.data(), kBurstBytes);
     if (geom_.onDieEcc) {
-        auto &check_row = ecc_[key(bank, row)];
-        if (check_row.empty()) {
-            // Check bytes for an all-zero burst are non-zero only in the
-            // parity sense; initialise every column's check correctly.
-            check_row.assign(geom_.colsPerRow * 4, 0);
-            const EccBytes zero_check = eccEncodeBurst(Burst{});
-            for (unsigned c = 0; c < geom_.colsPerRow; ++c)
-                std::memcpy(check_row.data() + c * 4, zero_check.data(),
-                            4);
-        }
         const EccBytes check = eccEncodeBurst(data);
-        std::memcpy(check_row.data() + col * 4, check.data(), 4);
+        std::memcpy(bytes + geom_.bytesPerRow() + col * 4, check.data(), 4);
     }
-
-    applyStuckBits(bank, row, col);
+    applyStuckBits(bank, row, col, bytes);
 }
 
 std::size_t
@@ -126,11 +145,10 @@ void
 DataStore::injectBitFlip(unsigned bank, unsigned row, unsigned col,
                          unsigned bit)
 {
-    PIMSIM_ASSERT(bit < kBurstBytes * 8, "bit index out of range");
-    auto &storage = rows_[key(bank, row)];
-    if (storage.empty())
-        storage.assign(geom_.bytesPerRow(), 0);
-    storage[col * kBurstBytes + bit / 8] ^=
+    PIMSIM_ASSERT(bank < geom_.banksPerPch() && row < geom_.rowsPerBank &&
+                      col < geom_.colsPerRow && bit < kBurstBytes * 8,
+                  "bit flip out of range");
+    allocateRow(bank, row)[col * kBurstBytes + bit / 8] ^=
         static_cast<std::uint8_t>(1u << (bit % 8));
 }
 
@@ -138,7 +156,9 @@ void
 DataStore::setStuckBit(unsigned bank, unsigned row, unsigned col,
                        unsigned bit, bool value)
 {
-    PIMSIM_ASSERT(bit < kBurstBytes * 8, "bit index out of range");
+    PIMSIM_ASSERT(bank < geom_.banksPerPch() && row < geom_.rowsPerBank &&
+                      col < geom_.colsPerRow && bit < kBurstBytes * 8,
+                  "stuck bit out of range");
     auto &faults = stuck_[key(bank, row)];
     const auto it = std::find_if(faults.begin(), faults.end(),
                                  [&](const StuckBit &s) {
@@ -152,21 +172,7 @@ DataStore::setStuckBit(unsigned bank, unsigned row, unsigned col,
     }
     // Force the cell immediately (the row allocates if needed so the
     // defect is visible even before the first write).
-    auto &storage = rows_[key(bank, row)];
-    if (storage.empty()) {
-        storage.assign(geom_.bytesPerRow(), 0);
-        if (geom_.onDieEcc) {
-            auto &check_row = ecc_[key(bank, row)];
-            if (check_row.empty()) {
-                check_row.assign(geom_.colsPerRow * 4, 0);
-                const EccBytes zero_check = eccEncodeBurst(Burst{});
-                for (unsigned c = 0; c < geom_.colsPerRow; ++c)
-                    std::memcpy(check_row.data() + c * 4,
-                                zero_check.data(), 4);
-            }
-        }
-    }
-    applyStuckBits(bank, row, col);
+    applyStuckBits(bank, row, col, allocateRow(bank, row));
 }
 
 void
@@ -177,16 +183,18 @@ DataStore::clearStuckBits()
 }
 
 void
-DataStore::applyStuckBits(unsigned bank, unsigned row, unsigned col)
+DataStore::applyStuckBits(unsigned bank, unsigned row, unsigned col,
+                          std::uint8_t *bytes)
 {
+    if (stuck_.empty())
+        return;
     const auto it = stuck_.find(key(bank, row));
     if (it == stuck_.end())
         return;
-    auto &storage = rows_[key(bank, row)];
     for (const StuckBit &s : it->second) {
         if (s.col != col)
             continue;
-        std::uint8_t &byte = storage[s.col * kBurstBytes + s.bit / 8];
+        std::uint8_t &byte = bytes[s.col * kBurstBytes + s.bit / 8];
         const std::uint8_t mask =
             static_cast<std::uint8_t>(1u << (s.bit % 8));
         if (s.value)
@@ -199,16 +207,19 @@ DataStore::applyStuckBits(unsigned bank, unsigned row, unsigned col)
 ScrubOutcome
 DataStore::scrubBurst(unsigned bank, unsigned row, unsigned col)
 {
+    PIMSIM_ASSERT(bank < geom_.banksPerPch() && row < geom_.rowsPerBank &&
+                      col < geom_.colsPerRow,
+                  "scrub out of range: bank ", bank, " row ", row, " col ",
+                  col);
     ScrubOutcome outcome;
     if (!geom_.onDieEcc)
         return outcome;
-    const auto rit = rows_.find(key(bank, row));
-    const auto eit = ecc_.find(key(bank, row));
-    if (rit == rows_.end() || eit == ecc_.end())
+    std::uint8_t *row_bytes = findRow(bank, row);
+    if (!row_bytes)
         return outcome;
 
-    std::uint8_t *bytes = rit->second.data() + col * kBurstBytes;
-    std::uint8_t *check = eit->second.data() + col * 4;
+    std::uint8_t *bytes = row_bytes + col * kBurstBytes;
+    std::uint8_t *check = row_bytes + geom_.bytesPerRow() + col * 4;
     for (unsigned w = 0; w < 4; ++w) {
         std::uint64_t word = 0;
         for (unsigned b = 0; b < 8; ++b)
@@ -231,7 +242,7 @@ DataStore::scrubBurst(unsigned bank, unsigned row, unsigned col)
         }
     }
     if (outcome.corrected)
-        applyStuckBits(bank, row, col);
+        applyStuckBits(bank, row, col, row_bytes);
     return outcome;
 }
 

@@ -59,6 +59,10 @@ class DataStore
 
     explicit DataStore(const HbmGeometry &geom);
 
+    // The row slots point into this store's own rows.
+    DataStore(const DataStore &) = delete;
+    DataStore &operator=(const DataStore &) = delete;
+
     /**
      * Read one burst from (flat bank, row, col). Unwritten rows read 0.
      * With on-die ECC, single-bit faults are corrected in the returned
@@ -76,6 +80,9 @@ class DataStore
 
     /** Bytes currently allocated (for tests / footprint stats). */
     std::size_t allocatedBytes() const;
+
+    /** Number of allocated (bank, row) pairs. */
+    std::size_t allocatedRowCount() const { return rows_.size(); }
 
     /** Allocated (bank, row) pairs in deterministic sorted order. */
     std::vector<std::pair<unsigned, unsigned>> allocatedRows() const;
@@ -126,13 +133,39 @@ class DataStore
         return (static_cast<std::uint64_t>(bank) << 32) | row;
     }
 
-    /** Force stuck cells of one row onto the stored bytes. */
-    void applyStuckBits(unsigned bank, unsigned row, unsigned col);
+    /** Stored bytes of a row, or nullptr if it was never allocated. */
+    std::uint8_t *findRow(unsigned bank, unsigned row) const;
+
+    /**
+     * Stored bytes of a row, allocating it on first use: zero data and,
+     * with on-die ECC, the check bytes of an all-zero burst in every
+     * column, so a fault planted before the first write is still seen.
+     */
+    std::uint8_t *allocateRow(unsigned bank, unsigned row);
+
+    /** Force stuck cells of one burst onto the row's stored bytes. */
+    void applyStuckBits(unsigned bank, unsigned row, unsigned col,
+                        std::uint8_t *bytes);
 
     HbmGeometry geom_;
+    /** Bytes per row: the data, then (with ECC) 4 check bytes per burst. */
+    std::size_t rowBytes_;
     std::unordered_map<RowKey, std::vector<std::uint8_t>> rows_;
-    /** Per-row check bytes, 4 per burst (allocated with the row). */
-    std::unordered_map<RowKey, std::vector<std::uint8_t>> ecc_;
+
+    /**
+     * The last row found in each bank. PIM operand reads and host column
+     * streams hit the open row back to back, so most accesses skip the
+     * map. Rows are never freed, so the pointer stays valid; an absent
+     * row is never cached (its first write must become visible).
+     */
+    struct RowSlot
+    {
+        unsigned row = ~0u;
+        std::uint8_t *bytes = nullptr;
+    };
+    /** Inline, so constructing a store allocates nothing. */
+    static constexpr unsigned kMaxBanks = 16;
+    mutable std::array<RowSlot, kMaxBanks> slots_;
 
     /** Stuck-at cells: (bank, row) -> list of (col, bit, value). */
     struct StuckBit

@@ -17,19 +17,15 @@ PseudoChannel::PseudoChannel(const HbmGeometry &geom, const HbmTiming &timing,
 {
 }
 
-std::vector<unsigned>
+PseudoChannel::BankSpan
 PseudoChannel::targetBanks(const Command &cmd) const
 {
-    std::vector<unsigned> targets;
     if (allBank_ || cmd.type == CommandType::PreA ||
         cmd.type == CommandType::Ref) {
-        targets.resize(banks_.size());
-        for (unsigned i = 0; i < banks_.size(); ++i)
-            targets[i] = i;
-    } else {
-        targets.push_back(cmd.flatBank(geom_.banksPerBankGroup));
+        return BankSpan(0, static_cast<unsigned>(banks_.size()));
     }
-    return targets;
+    const unsigned flat = cmd.flatBank(geom_.banksPerBankGroup);
+    return BankSpan(flat, flat + 1);
 }
 
 Cycle
@@ -43,8 +39,8 @@ PseudoChannel::earliestAct(unsigned flat_bank, Cycle now) const
         // AB-mode ACT is a single command opening all banks in lock-step.
         t = std::max(t, nextActGlobal_);
         t = std::max(t, nextActPerBg_[bg]);
-        if (actWindow_.size() >= 4)
-            t = std::max(t, actWindow_[actWindow_.size() - 4] + timing_.tFAW);
+        if (actCount_ == actWindow_.size())
+            t = std::max(t, actWindow_[actOldest_] + timing_.tFAW);
     }
     return t;
 }
@@ -220,11 +216,11 @@ PseudoChannel::issue(const Command &cmd, Cycle now)
         for (unsigned b : targets)
             applyAct(b, cmd.row, now);
         if (!allBank_ && targets.size() == 1) {
-            actWindow_.push_back(now);
-            if (actWindow_.size() > 8)
-                actWindow_.pop_front();
+            actWindow_[actOldest_] = now;
+            actOldest_ = (actOldest_ + 1) % actWindow_.size();
+            actCount_ = std::min<unsigned>(actCount_ + 1, actWindow_.size());
         }
-        stats_.add("act", targets.size());
+        actStat_.add(targets.size());
         if (interceptor_)
             interceptor_->onRowCommand(cmd, now);
         break;
@@ -234,7 +230,7 @@ PseudoChannel::issue(const Command &cmd, Cycle now)
         for (unsigned b : targets) {
             if (banks_[b].state == BankState::Active) {
                 applyPre(b, now);
-                stats_.add("pre");
+                preStat_.add();
             }
         }
         if (interceptor_)
@@ -255,33 +251,33 @@ PseudoChannel::issue(const Command &cmd, Cycle now)
             result.dataCycle = now + timing_.tCL + timing_.tBL;
             if (intercepted) {
                 result.data = rd_data;
-                stats_.add("pimCol");
-                stats_.add("pimBusCycles", timing_.tBL);
+                pimColStat_.add();
+                pimBusCyclesStat_.add(timing_.tBL);
             } else {
                 // Data leaves the die: bus is occupied.
                 busBusyUntil_ = now + timing_.tCL + timing_.tBL;
                 lastRdDataEnd_ = busBusyUntil_;
-                stats_.add("busCycles", timing_.tBL);
+                busCyclesStat_.add(timing_.tBL);
                 const unsigned src =
                     cmd.flatBank(geom_.banksPerBankGroup);
                 result.data = data_.read(src, banks_[src].openRow, cmd.col,
                                          &result.ecc);
-                stats_.add("rd");
-                stats_.add("rdBanks", targets.size());
+                rdStat_.add();
+                rdBanksStat_.add(targets.size());
             }
         } else {
             if (intercepted) {
                 result.dataCycle = now + timing_.tCWL + timing_.tBL;
-                stats_.add("pimCol");
-                stats_.add("pimBusCycles", timing_.tBL);
+                pimColStat_.add();
+                pimBusCyclesStat_.add(timing_.tBL);
             } else {
                 busBusyUntil_ = now + timing_.tCWL + timing_.tBL;
-                stats_.add("busCycles", timing_.tBL);
+                busCyclesStat_.add(timing_.tBL);
                 for (unsigned b : targets)
                     data_.write(b, banks_[b].openRow, cmd.col, cmd.data);
                 result.dataCycle = now + timing_.tCWL + timing_.tBL;
-                stats_.add("wr");
-                stats_.add("wrBanks", targets.size());
+                wrStat_.add();
+                wrBanksStat_.add(targets.size());
             }
         }
         result.intercepted = intercepted;
@@ -291,7 +287,7 @@ PseudoChannel::issue(const Command &cmd, Cycle now)
       case CommandType::Ref:
         for (auto &b : banks_)
             b.nextAct = std::max(b.nextAct, now + timing_.tRFC);
-        stats_.add("ref");
+        refStat_.add();
         break;
     }
     return result;

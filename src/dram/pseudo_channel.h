@@ -19,9 +19,10 @@
 #ifndef PIMSIM_DRAM_PSEUDO_CHANNEL_H
 #define PIMSIM_DRAM_PSEUDO_CHANNEL_H
 
-#include <deque>
+#include <array>
 #include <iosfwd>
 #include <optional>
+#include <ranges>
 #include <vector>
 
 #include "common/stats.h"
@@ -168,8 +169,11 @@ class PseudoChannel
     void applyPre(unsigned flat_bank, Cycle now);
     void applyCol(const Command &cmd, unsigned flat_bank, Cycle now);
 
+    /** Consecutive flat banks [first, first + count). */
+    using BankSpan = std::ranges::iota_view<unsigned, unsigned>;
+
     /** Banks a command applies to (1 in SB mode, all in AB mode). */
-    std::vector<unsigned> targetBanks(const Command &cmd) const;
+    BankSpan targetBanks(const Command &cmd) const;
 
     HbmGeometry geom_;
     HbmTiming timing_;
@@ -191,11 +195,26 @@ class PseudoChannel
     std::vector<Cycle> nextWrPerBg_;
     std::vector<Cycle> nextActPerBg_;      ///< tRRD_L within a bank group
     Cycle nextActGlobal_ = 0;              ///< tRRD_S
-    std::deque<Cycle> actWindow_;          ///< tFAW sliding window
+    /** tFAW window: the last four single-bank ACT cycles, a ring whose
+     *  oldest entry is at actOldest_ (valid once actCount_ reaches 4). */
+    std::array<Cycle, 4> actWindow_{};
+    unsigned actOldest_ = 0;
+    unsigned actCount_ = 0;
     Cycle lastWrDataEnd_ = 0;              ///< for tWTR
     Cycle lastRdDataEnd_ = 0;              ///< for tRTW accounting
 
     StatGroup stats_;
+    // Per-command counters of stats_.
+    StatCounter actStat_{&stats_, "act"};
+    StatCounter preStat_{&stats_, "pre"};
+    StatCounter rdStat_{&stats_, "rd"};
+    StatCounter rdBanksStat_{&stats_, "rdBanks"};
+    StatCounter wrStat_{&stats_, "wr"};
+    StatCounter wrBanksStat_{&stats_, "wrBanks"};
+    StatCounter busCyclesStat_{&stats_, "busCycles"};
+    StatCounter pimColStat_{&stats_, "pimCol"};
+    StatCounter pimBusCyclesStat_{&stats_, "pimBusCycles"};
+    StatCounter refStat_{&stats_, "ref"};
 };
 
 } // namespace pimsim

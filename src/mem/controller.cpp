@@ -1,10 +1,23 @@
 #include "mem/controller.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 
 namespace pimsim {
+
+namespace {
+
+/** Stat names by CommandType (commandTypeName() behind a prefix). */
+constexpr const char *kCmdStatNames[] = {
+    "cmd.ACT", "cmd.PRE", "cmd.PREA", "cmd.RD", "cmd.WR", "cmd.REF"};
+constexpr const char *kPrepStatNames[] = {
+    "prep.ACT", "prep.PRE", "prep.PREA", "prep.RD", "prep.WR", "prep.REF"};
+static_assert(std::size(kCmdStatNames) == kNumCommandTypes &&
+              std::size(kPrepStatNames) == kNumCommandTypes);
+
+} // namespace
 
 MemoryController::MemoryController(const HbmGeometry &geom,
                                    const HbmTiming &timing,
@@ -18,6 +31,10 @@ MemoryController::MemoryController(const HbmGeometry &geom,
 {
     if (with_pim)
         pimChannel_ = std::make_unique<PimChannel>(pim_config, *channel_);
+    for (std::size_t t = 0; t < kNumCommandTypes; ++t) {
+        cmdStat_[t] = StatCounter(&stats_, kCmdStatNames[t]);
+        prepStat_[t] = StatCounter(&stats_, kPrepStatNames[t]);
+    }
 }
 
 void
@@ -112,10 +129,10 @@ MemoryController::enqueue(const MemRequest &request)
 {
     PIMSIM_ASSERT(canEnqueue(), "enqueue on full controller queue");
     queue_.push_back(Queued{request, 0, false});
-    stats_.add("enqueued");
+    enqueuedStat_.add();
     // Arrival-sampled queue depth: queueDepthSum / enqueued = mean depth
     // an arriving request finds ahead of it.
-    stats_.add("queueDepthSum", queue_.size() - 1);
+    queueDepthSumStat_.add(queue_.size() - 1);
 }
 
 bool
@@ -262,7 +279,7 @@ MemoryController::rowPrepTick(Cycle now, std::size_t chosen)
         const Cycle t = channel_->earliestIssue(prep, now);
         if (t == now) {
             channel_->issue(prep, now);
-            stats_.add(std::string("prep.") + commandTypeName(prep.type));
+            prepStat_[static_cast<std::size_t>(prep.type)].add();
             return now;
         }
         best_wait = std::min(best_wait, t);
@@ -301,7 +318,7 @@ MemoryController::refreshTick(Cycle now)
         const Cycle t = channel_->earliestIssue(cmd, now);
         if (t == now) {
             channel_->issue(cmd, now);
-            stats_.add("refreshPreA");
+            refreshPreAStat_.add();
             return now + 1;
         }
         return t;
@@ -310,7 +327,7 @@ MemoryController::refreshTick(Cycle now)
     const Cycle t = channel_->earliestIssue(cmd, now);
     if (t == now) {
         channel_->issue(cmd, now);
-        stats_.add("refresh");
+        refreshStat_.add();
         refreshing_ = false;
         nextRefresh_ = now + timing_.tREFI;
         return queue_.empty() ? nextRefresh_ : now + 1;
@@ -382,7 +399,7 @@ MemoryController::tick(Cycle now)
     }
 
     const IssueResult result = channel_->issue(cmd, now);
-    stats_.add(std::string("cmd.") + commandTypeName(cmd.type));
+    cmdStat_[static_cast<std::size_t>(cmd.type)].add();
 
     const bool is_column =
         cmd.type == CommandType::Rd || cmd.type == CommandType::Wr;
@@ -403,14 +420,14 @@ MemoryController::tick(Cycle now)
 
     if (is_column) {
         lastColWasWrite_ = cmd.type == CommandType::Wr;
-        stats_.add("colIssued");
-        stats_.add(entry.rowMissed ? "rowMiss" : "rowHit");
+        colIssuedStat_.add();
+        (entry.rowMissed ? rowMissStat_ : rowHitStat_).add();
         if (result.intercepted) {
-            stats_.add("pimIssued");
+            pimIssuedStat_.add();
             // Command-mix bucket for AB-PIM triggers (a RD/WR column
             // the PIM logic consumed): cmd.RD/cmd.WR count the bus
             // command, cmd.RD-PIM separates the PIM-executing subset.
-            stats_.add("cmd.RD-PIM");
+            rdPimStat_.add();
         }
     }
 

@@ -13,6 +13,7 @@
 #ifndef PIMSIM_MEM_CONTROLLER_H
 #define PIMSIM_MEM_CONTROLLER_H
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -62,6 +63,10 @@ class MemoryController
     MemoryController(const HbmGeometry &geom, const HbmTiming &timing,
                      const ControllerConfig &config, bool with_pim,
                      const PimConfig &pim_config);
+
+    // Counter handles and the ECC hook point into this controller.
+    MemoryController(const MemoryController &) = delete;
+    MemoryController &operator=(const MemoryController &) = delete;
 
     /** True if another request can be accepted. */
     bool canEnqueue() const { return queue_.size() < config_.queueDepth; }
@@ -188,6 +193,18 @@ class MemoryController
     std::size_t scrubPos_ = 0;
 
     StatGroup stats_;
+    // Per-command counters of stats_ (cold paths use stats_.add()).
+    std::array<StatCounter, kNumCommandTypes> cmdStat_;  ///< cmd.<TYPE>
+    std::array<StatCounter, kNumCommandTypes> prepStat_; ///< prep.<TYPE>
+    StatCounter enqueuedStat_{&stats_, "enqueued"};
+    StatCounter queueDepthSumStat_{&stats_, "queueDepthSum"};
+    StatCounter colIssuedStat_{&stats_, "colIssued"};
+    StatCounter rowHitStat_{&stats_, "rowHit"};
+    StatCounter rowMissStat_{&stats_, "rowMiss"};
+    StatCounter pimIssuedStat_{&stats_, "pimIssued"};
+    StatCounter rdPimStat_{&stats_, "cmd.RD-PIM"};
+    StatCounter refreshPreAStat_{&stats_, "refreshPreA"};
+    StatCounter refreshStat_{&stats_, "refresh"};
 };
 
 } // namespace pimsim

@@ -27,8 +27,10 @@ PimChannel::PimChannel(const PimConfig &config, PseudoChannel &pch)
 {
     PIMSIM_ASSERT(config.unitsPerPch * 2 == pch.geometry().banksPerPch(),
                   "one PIM unit per bank pair expected");
-    for (unsigned u = 0; u < config.unitsPerPch; ++u)
-        units_.push_back(std::make_unique<PimUnit>(config, u, pch, &stats_));
+    for (unsigned u = 0; u < config.unitsPerPch; ++u) {
+        units_.push_back(
+            std::make_unique<PimUnit>(config, u, pch, &unitStats_));
+    }
 
     // Register-mapped column layout inside the config row. CRF occupies
     // the first crfEntries/8 bursts, then GRF_A, GRF_B, the two SRF
@@ -181,29 +183,29 @@ PimChannel::handleConfigAccess(const Command &cmd, unsigned open_row,
                     u->regs().setCrf(col * 8 + w, word);
                 }
             }
-            stats_.add("conf.crfWr");
+            confCrfWrStat_.add();
         } else if (col >= grfAColBase_ && col < grfBColBase_) {
             const auto lanes = burstToLanes(cmd.data);
             for (auto &u : units_)
                 u->regs().setGrf(0, col - grfAColBase_, lanes);
-            stats_.add("conf.grfWr");
+            confGrfWrStat_.add();
         } else if (col >= grfBColBase_ && col < srfMCol_) {
             const auto lanes = burstToLanes(cmd.data);
             for (auto &u : units_)
                 u->regs().setGrf(1, col - grfBColBase_, lanes);
-            stats_.add("conf.grfWr");
+            confGrfWrStat_.add();
         } else if (col == srfMCol_) {
             for (auto &u : units_)
                 u->regs().loadSrfFile(0, cmd.data);
-            stats_.add("conf.srfWr");
+            confSrfWrStat_.add();
         } else if (col == srfACol_) {
             for (auto &u : units_)
                 u->regs().loadSrfFile(1, cmd.data);
-            stats_.add("conf.srfWr");
+            confSrfWrStat_.add();
         } else if (col == opModeCol_) {
             setOpMode(cmd.data[0] != 0);
         } else {
-            stats_.add("conf.unmappedWr");
+            confUnmappedWrStat_.add();
         }
         return true;
     }
@@ -229,7 +231,7 @@ PimChannel::handleConfigAccess(const Command &cmd, unsigned open_row,
         out[0] = mode_ == PimMode::AbPim ? 1 : 0;
     }
     *rd_data = out;
-    stats_.add("conf.rd");
+    confRdStat_.add();
     return true;
 }
 
@@ -254,7 +256,7 @@ PimChannel::onColumnCommand(const Command &cmd, Cycle cycle, Burst *rd_data)
         cmd.type == CommandType::Wr ? &cmd.data : nullptr;
     for (auto &u : units_)
         u->trigger(cmd.type, cmd.col, bus);
-    stats_.add("pim.trigger");
+    triggerStat_.add();
     if (rd_data)
         *rd_data = Burst{};
     return true;

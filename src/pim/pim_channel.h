@@ -44,6 +44,10 @@ class PimChannel : public ColumnInterceptor
   public:
     PimChannel(const PimConfig &config, PseudoChannel &pch);
 
+    // The units and the counter handles point into this channel.
+    PimChannel(const PimChannel &) = delete;
+    PimChannel &operator=(const PimChannel &) = delete;
+
     PimMode mode() const { return mode_; }
 
     unsigned numUnits() const { return static_cast<unsigned>(units_.size()); }
@@ -110,6 +114,15 @@ class PimChannel : public ColumnInterceptor
     unsigned opModeCol_;
 
     StatGroup stats_;
+    /** The units' pim.* counters, bound once and shared by all units. */
+    PimUnitStats unitStats_{&stats_};
+    // Per-command counters of stats_ (mode changes use stats_.add()).
+    StatCounter triggerStat_{&stats_, "pim.trigger"};
+    StatCounter confCrfWrStat_{&stats_, "conf.crfWr"};
+    StatCounter confGrfWrStat_{&stats_, "conf.grfWr"};
+    StatCounter confSrfWrStat_{&stats_, "conf.srfWr"};
+    StatCounter confUnmappedWrStat_{&stats_, "conf.unmappedWr"};
+    StatCounter confRdStat_{&stats_, "conf.rd"};
 };
 
 } // namespace pimsim

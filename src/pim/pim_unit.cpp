@@ -1,5 +1,7 @@
 #include "pim/pim_unit.h"
 
+#include <iterator>
+
 #include "common/bf16.h"
 #include "common/logging.h"
 
@@ -85,10 +87,34 @@ rowMac(PimNumberFormat fmt, const LaneVector &a, const LaneVector &b,
     return lanesNarrow(fmt, fa);
 }
 
+/** pim.op.<NAME> by opcode value; nullptr where no opcode is defined. */
+constexpr const char *kOpStatNames[] = {
+    "pim.op.NOP", "pim.op.JUMP", "pim.op.EXIT", "pim.op.MOV", "pim.op.FILL",
+    nullptr,      nullptr,       nullptr,       "pim.op.ADD", "pim.op.MUL",
+    "pim.op.MAC", "pim.op.MAD"};
+static_assert(std::size(kOpStatNames) ==
+              std::tuple_size_v<decltype(PimUnitStats::op)>);
+
 } // namespace
 
+PimUnitStats::PimUnitStats(StatGroup *group)
+    : opExec(group, "pim.opExec"), bankRead(group, "pim.bankRead"),
+      bankWrite(group, "pim.bankWrite"),
+      busOperand(group, "pim.busOperand"),
+      eccCorrected(group, "pim.eccCorrected"),
+      eccUncorrectable(group, "pim.eccUncorrectable"),
+      triggerAfterExit(group, "pim.triggerAfterExit"),
+      illegalInst(group, "pim.illegalInst"),
+      sdcExposed(group, "pim.sdcExposed")
+{
+    for (std::size_t i = 0; i < op.size(); ++i) {
+        if (kOpStatNames[i])
+            op[i] = StatCounter(group, kOpStatNames[i]);
+    }
+}
+
 PimUnit::PimUnit(const PimConfig &config, unsigned index, PseudoChannel &pch,
-                 StatGroup *stats)
+                 PimUnitStats *stats)
     : config_(config), evenBank_(2 * index), oddBank_(2 * index + 1),
       pch_(pch), regs_(config), stats_(stats),
       jumpRemaining_(config.crfEntries, -1)
@@ -118,7 +144,7 @@ PimUnit::raiseIllegalInst(std::uint32_t word)
                 ") illegal instruction word ", word, " at CRF[", ppc_,
                 "]");
     if (stats_)
-        stats_->add("pim.illegalInst");
+        stats_->illegalInst.add();
     faulted_ = true;
     halted_ = true;
 }
@@ -128,10 +154,10 @@ PimUnit::noteExposure()
 {
     ++sdcExposed_;
     if (stats_)
-        stats_->add("pim.sdcExposed");
+        stats_->sdcExposed.add();
 }
 
-void
+PimInst
 PimUnit::resolveControl()
 {
     // JUMP and EXIT are pre-decoded at the fetch stage and consume no
@@ -140,12 +166,12 @@ PimUnit::resolveControl()
     for (;;) {
         if (halted_ || ppc_ >= regs_.crfEntries()) {
             halted_ = true;
-            return;
+            return PimInst{};
         }
         const std::uint32_t word = regs_.crf(ppc_);
         if (!isValidEncoding(word)) {
             raiseIllegalInst(word);
-            return;
+            return PimInst{};
         }
         // A corrupted CRF slot that still decodes is about to steer the
         // kernel silently — that is an exposure. (An invalid encoding
@@ -157,10 +183,10 @@ PimUnit::resolveControl()
         const PimInst inst = PimInst::decode(word);
         if (inst.opcode == PimOpcode::Exit) {
             halted_ = true;
-            return;
+            return inst;
         }
         if (inst.opcode != PimOpcode::Jump)
-            return;
+            return inst;
         int &remaining = jumpRemaining_[ppc_];
         if (remaining < 0)
             remaining = static_cast<int>(inst.imm1) - 1;
@@ -170,7 +196,7 @@ PimUnit::resolveControl()
                 // A corrupted offset would branch before CRF[0]; treat it
                 // as an illegal instruction rather than a simulator bug.
                 raiseIllegalInst(word);
-                return;
+                return PimInst{};
             }
             ppc_ -= inst.imm0;
         } else {
@@ -229,7 +255,7 @@ PimUnit::fetchOperand(OperandSpace space, unsigned index, CommandType type,
         if (from_bus) {
             PIMSIM_ASSERT(bus_data != nullptr, "WR trigger without data");
             if (stats_)
-                stats_->add("pim.busOperand");
+                stats_->busOperand.add();
             return burstToLanes(*bus_data);
         }
         const unsigned bank =
@@ -237,7 +263,7 @@ PimUnit::fetchOperand(OperandSpace space, unsigned index, CommandType type,
         PIMSIM_ASSERT(pch_.bank(bank).state == BankState::Active,
                       "bank operand fetch from idle bank ", bank);
         if (stats_)
-            stats_->add("pim.bankRead");
+            stats_->bankRead.add();
         // The bank read passes through the same on-die ECC engine as a
         // host RD (Section VIII); count what it observes. The DataStore
         // hook additionally records the event in the system error log.
@@ -245,9 +271,9 @@ PimUnit::fetchOperand(OperandSpace space, unsigned index, CommandType type,
         const Burst data =
             pch_.dataStore().read(bank, pch_.bank(bank).openRow, col, &ecc);
         if (stats_ && ecc == EccStatus::Corrected)
-            stats_->add("pim.eccCorrected");
+            stats_->eccCorrected.add();
         if (stats_ && ecc == EccStatus::Uncorrectable)
-            stats_->add("pim.eccUncorrectable");
+            stats_->eccUncorrectable.add();
         return burstToLanes(data);
       }
     }
@@ -272,7 +298,7 @@ PimUnit::writeResult(OperandSpace space, unsigned index, unsigned col,
         PIMSIM_ASSERT(pch_.bank(bank).state == BankState::Active,
                       "bank result write to idle bank ", bank);
         if (stats_)
-            stats_->add("pim.bankWrite");
+            stats_->bankWrite.add();
         pch_.dataStore().write(bank, pch_.bank(bank).openRow, col,
                                lanesToBurst(value));
         return;
@@ -288,21 +314,19 @@ PimUnit::writeResult(OperandSpace space, unsigned index, unsigned col,
 void
 PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
 {
-    resolveControl();
+    const PimInst inst = resolveControl();
     if (halted_) {
         // Faulted units stay silent; otherwise the host over-issued
         // triggers — harmless but worth counting.
         if (stats_ && !faulted_)
-            stats_->add("pim.triggerAfterExit");
+            stats_->triggerAfterExit.add();
         return;
     }
 
-    const PimInst inst = PimInst::decode(regs_.crf(ppc_));
-
+    if (stats_)
+        stats_->op[static_cast<std::size_t>(inst.opcode)].add();
     if (inst.opcode == PimOpcode::Nop) {
         // Multi-cycle NOP: consumes imm0 triggers before advancing.
-        if (stats_)
-            stats_->add("pim.op.NOP");
         if (++nopConsumed_ >= std::max(1u, inst.imm0)) {
             nopConsumed_ = 0;
             ++ppc_;
@@ -310,10 +334,8 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
         return;
     }
 
-    if (stats_) {
-        stats_->add(std::string("pim.op.") + pimOpcodeName(inst.opcode));
-        stats_->add("pim.opExec");
-    }
+    if (stats_)
+        stats_->opExec.add();
     ++executed_;
 
     const unsigned s0 = effectiveIndex(inst, inst.src0Idx, inst.src0, col);

@@ -13,6 +13,7 @@
 #ifndef PIMSIM_PIM_PIM_UNIT_H
 #define PIMSIM_PIM_PIM_UNIT_H
 
+#include <array>
 #include <vector>
 
 #include "common/stats.h"
@@ -24,6 +25,27 @@
 
 namespace pimsim {
 
+/**
+ * The pim.* counters a PimUnit updates. PimChannel binds one set to its
+ * stat group and shares it among its units (see StatCounter).
+ */
+struct PimUnitStats
+{
+    explicit PimUnitStats(StatGroup *group);
+
+    /** pim.op.<NAME> by opcode value (unused values are no-ops). */
+    std::array<StatCounter, 12> op;
+    StatCounter opExec;
+    StatCounter bankRead;
+    StatCounter bankWrite;
+    StatCounter busOperand;
+    StatCounter eccCorrected;
+    StatCounter eccUncorrectable;
+    StatCounter triggerAfterExit;
+    StatCounter illegalInst;
+    StatCounter sdcExposed;
+};
+
 /** Execution state and datapath of one PIM unit. */
 class PimUnit
 {
@@ -33,10 +55,10 @@ class PimUnit
      * @param index   unit index within the pCH; serves flat banks
      *                (2*index, 2*index+1)
      * @param pch     owning pseudo channel (bank state + data)
-     * @param stats   shared per-channel stat group (may be nullptr)
+     * @param stats   shared per-channel counters (may be nullptr)
      */
     PimUnit(const PimConfig &config, unsigned index, PseudoChannel &pch,
-            StatGroup *stats);
+            PimUnitStats *stats);
 
     /** Restart the microkernel: PPC = 0, loop counters cleared. */
     void resetProgram();
@@ -85,8 +107,12 @@ class PimUnit
     const PimConfig &config() const { return config_; }
 
   private:
-    /** Resolve zero-cycle control flow (JUMP/EXIT) at the current PPC. */
-    void resolveControl();
+    /**
+     * Resolve zero-cycle control flow (JUMP/EXIT) at the current PPC.
+     * @return the decoded instruction at the resolved PPC (meaningful
+     *         only while the unit is not halted)
+     */
+    PimInst resolveControl();
 
     /** Fetch one 16-lane operand. */
     LaneVector fetchOperand(OperandSpace space, unsigned index,
@@ -106,7 +132,7 @@ class PimUnit
     unsigned oddBank_;
     PseudoChannel &pch_;
     PimRegisterFile regs_;
-    StatGroup *stats_;
+    PimUnitStats *stats_;
 
     /** Raise an illegal-instruction fault and halt the unit. */
     void raiseIllegalInst(std::uint32_t word);

@@ -36,8 +36,7 @@ FaultInjector::pickDramBurst(unsigned &channel, unsigned &bank,
     std::size_t total = 0;
     for (unsigned ch = 0; ch < channels; ++ch) {
         rowCount[ch] =
-            system_.controller(ch).channel().dataStore().allocatedRows()
-                .size();
+            system_.controller(ch).channel().dataStore().allocatedRowCount();
         total += rowCount[ch];
     }
     if (total == 0)

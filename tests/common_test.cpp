@@ -183,6 +183,59 @@ TEST(Stats, DumpFormat)
     EXPECT_EQ(os.str(), "grp.count 7\n");
 }
 
+TEST(StatCounter, UnusedHandleAddsNoKey)
+{
+    StatGroup g("grp");
+    StatCounter c(&g, "never");
+    (void)c;
+    EXPECT_TRUE(g.counters().empty());
+    std::ostringstream os;
+    g.dump(os);
+    EXPECT_EQ(os.str(), "");
+}
+
+TEST(StatCounter, AddMatchesGroupAdd)
+{
+    StatGroup by_name("grp"), by_handle("grp");
+    by_name.add("b", 3);
+    by_name.add("a");
+    by_name.add("b");
+    StatCounter a(&by_handle, "a"), b(&by_handle, "b");
+    b.add(3);
+    a.add();
+    b.add();
+    EXPECT_EQ(by_handle.counters(), by_name.counters());
+    std::ostringstream x, y;
+    by_name.dump(x);
+    by_handle.dump(y);
+    EXPECT_EQ(y.str(), x.str());
+
+    // A handle and a name lookup share one entry.
+    by_handle.add("a", 2);
+    a.add(5);
+    EXPECT_EQ(by_handle.counter("a"), 8u);
+}
+
+TEST(StatCounter, KeepsCountingAfterReset)
+{
+    StatGroup g;
+    StatCounter c(&g, "x");
+    c.add(4);
+    g.reset();
+    EXPECT_EQ(g.counter("x"), 0u);
+    c.add(2);
+    EXPECT_EQ(g.counter("x"), 2u);
+}
+
+TEST(StatCounter, NullGroupIsNoOp)
+{
+    StatCounter c(nullptr, "x");
+    c.add(7);
+    StatCounter unbound;
+    unbound.add();
+    SUCCEED();
+}
+
 TEST(Histogram, BucketsAndStats)
 {
     Histogram h(10, 5);

@@ -170,6 +170,24 @@ TEST(EccDataStore, UntouchedRowsReadZeroWithoutErrors)
     EXPECT_EQ(store.eccUncorrectable(), 0u);
 }
 
+TEST(EccDataStore, FlipInNeverWrittenRowIsCorrected)
+{
+    // A fault planted before a row's first write must meet valid check
+    // bytes: the row allocates its data and its all-zero-burst check
+    // bytes together, whichever operation touches it first.
+    DataStore store(eccGeom());
+    store.injectBitFlip(1, 7, 0, 13);
+    ASSERT_NE(store.readRaw(1, 7, 0), Burst{}); // the fault is stored
+    EccStatus ecc = EccStatus::Ok;
+    EXPECT_EQ(store.read(1, 7, 0, &ecc), Burst{});
+    EXPECT_EQ(ecc, EccStatus::Corrected);
+    EXPECT_EQ(store.eccCorrected(), 1u);
+
+    const ScrubOutcome outcome = store.scrubBurst(1, 7, 0);
+    EXPECT_EQ(outcome.corrected, 1u);
+    EXPECT_EQ(store.readRaw(1, 7, 0), Burst{}); // repaired in place
+}
+
 TEST(EccDataStore, ZeroColumnsOfWrittenRowsCheckClean)
 {
     // Writing one column allocates the whole row; the other columns'

@@ -1,13 +1,23 @@
 /**
  * @file
  * System assembly tests: configuration derivation (Tables IV/V), the
- * event loop's time-skipping, multi-channel concurrency, and stat
- * aggregation.
+ * event loop's time-skipping, multi-channel concurrency, stat
+ * aggregation, and pinned digests of a device run's stats and trace.
  */
+
+#include <cstdint>
+#include <ostream>
+#include <streambuf>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
+#include "common/rng.h"
+#include "common/trace.h"
+#include "reliability/fault_injector.h"
 #include "sim/system.h"
+#include "stack/blas.h"
+#include "stack/workloads.h"
 
 namespace pimsim {
 namespace {
@@ -179,6 +189,89 @@ TEST(PimSystemLoop, StatAggregationSums)
     sys.runUntilIdle();
     EXPECT_EQ(sys.totalChannelStat("rd"), 4u);
     EXPECT_EQ(sys.totalPimStat("pim.trigger"), 0u); // no PIM attached
+}
+
+/** Output stream buffer that folds every byte into an FNV-1a-64 hash. */
+class Fnv1aBuf : public std::streambuf
+{
+  public:
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+
+  protected:
+    int_type overflow(int_type ch) override
+    {
+        if (!traits_type::eq_int_type(ch, traits_type::eof()))
+            mix(static_cast<unsigned char>(ch));
+        return ch;
+    }
+
+    std::streamsize xsputn(const char *s, std::streamsize n) override
+    {
+        for (std::streamsize i = 0; i < n; ++i)
+            mix(static_cast<unsigned char>(s[i]));
+        return n;
+    }
+
+  private:
+    void mix(unsigned char byte)
+    {
+        hash = (hash ^ byte) * 0x100000001b3ull;
+    }
+};
+
+TEST(PinnedDigest, StatsJsonAndTraceBytesOfGemv1AndAdd)
+{
+    // The exact stats-JSON and Chrome-trace bytes of a fixed device run:
+    // Table VI's GEMV1 and an ADD on one PIM-HBM stack with on-die ECC,
+    // patrol scrub and a transient-fault campaign between the kernels.
+    // A change that claims bit-identical simulation must leave both
+    // digests alone; only a deliberate model change may update them.
+    setQuiet(true);
+    SystemConfig cfg = SystemConfig::pimHbmSystem();
+    cfg.numStacks = 1;
+    cfg.geometry.onDieEcc = true;
+    cfg.controller.scrubEnabled = true;
+    cfg.controller.scrubInterval = 2000;
+    PimSystem sys(cfg);
+    TraceSession trace;
+    sys.setTraceSession(&trace);
+    PimBlas blas(sys);
+    blas.setTrace(&trace);
+
+    MicroSpec gemv1;
+    for (const MicroSpec &spec : table6Microbenchmarks()) {
+        if (spec.name == "GEMV1")
+            gemv1 = spec;
+    }
+    ASSERT_EQ(gemv1.m, 1024u);
+    Rng rng(0x5eed);
+    Fp16Vector w(std::size_t{gemv1.m} * gemv1.n), x(gemv1.n), y;
+    for (auto &v : w)
+        v = rng.nextFp16();
+    for (auto &v : x)
+        v = rng.nextFp16();
+    blas.gemv(w, gemv1.m, gemv1.n, x, y);
+
+    FaultRates rates;
+    rates.dramTransient = 20.0;
+    FaultInjector injector(sys, rates, 0x7a11);
+    injector.runCampaign(/*interval=*/1000, /*steps=*/20);
+
+    Fp16Vector a(1u << 16), b(1u << 16), sum;
+    for (auto &v : a)
+        v = rng.nextFp16();
+    for (auto &v : b)
+        v = rng.nextFp16();
+    blas.add(a, b, sum);
+    sys.runUntilIdle();
+    ASSERT_GT(sys.errorLog().corrected(), 0u); // the campaign was seen
+
+    Fnv1aBuf stats_buf, trace_buf;
+    std::ostream stats_os(&stats_buf), trace_os(&trace_buf);
+    sys.dumpStatsJson(stats_os);
+    trace.write(trace_os);
+    EXPECT_EQ(stats_buf.hash, 0x414d2526e469091dull);
+    EXPECT_EQ(trace_buf.hash, 0x5cc0ad7affe96b15ull);
 }
 
 } // namespace
