@@ -29,9 +29,15 @@ struct Setup
     std::unique_ptr<AppRunner> runner;
 };
 
+/**
+ * The paper-figure benches report times and activity only, so their
+ * PIM systems are timing-only (PimConfig::functional off): identical
+ * commands and counters, no operand bytes or lane math.
+ */
 inline Setup
-makeSetup(const SystemConfig &config)
+makeSetup(SystemConfig config)
 {
+    config.pim.functional = false;
     Setup s;
     s.system = std::make_unique<PimSystem>(config);
     s.host = std::make_unique<HostModel>(*s.system);

@@ -68,6 +68,16 @@ struct PimConfig
      */
     bool fastModeSwitch = false;
 
+    /**
+     * Functional datapath. PIM latency depends only on the command
+     * stream, never on the data, so a system that only measures time
+     * can turn this off: every command, bank/timing state machine,
+     * refresh, the sequencer and every counter stay, but the units move
+     * no operand bytes and do no lane math, and PimBlas stages and
+     * reads back nothing (DESIGN.md "Timing-only tier").
+     */
+    bool functional = true;
+
     PimConfig withFastModeSwitch() const
     {
         PimConfig c = *this;

@@ -132,6 +132,7 @@ PimUnit::resetProgram()
     nopConsumed_ = 0;
     executed_ = 0;
     std::fill(jumpRemaining_.begin(), jumpRemaining_.end(), -1);
+    hasPrefetch_ = false;
 }
 
 void
@@ -206,6 +207,17 @@ PimUnit::resolveControl()
     }
 }
 
+PimInst
+PimUnit::fetch()
+{
+    if (!hasPrefetch_ || prefetchVersion_ != regs_.crfVersion()) {
+        prefetch_ = resolveControl();
+        prefetchVersion_ = regs_.crfVersion();
+        hasPrefetch_ = true;
+    }
+    return prefetch_;
+}
+
 unsigned
 PimUnit::effectiveIndex(const PimInst &inst, unsigned encoded,
                         OperandSpace space, unsigned col) const
@@ -218,6 +230,58 @@ PimUnit::effectiveIndex(const PimInst &inst, unsigned encoded,
     if (isSrfSpace(space))
         return col % config_.srfPerFile;
     return col % config_.grfPerHalf;
+}
+
+bool
+PimUnit::countBankOperand(OperandSpace space, CommandType type,
+                          const Burst *bus_data, bool is_src1)
+{
+    // A WR trigger carries host data on the write bus; a bank-space
+    // source then reads the bus instead of the array. With the SRW
+    // variant (Fig. 14), SRC1 still reads the bank so one WR can
+    // deliver a vector operand and stream a matrix operand at once.
+    const bool from_bus = type == CommandType::Wr &&
+                          !(config_.dse.simultaneousRdWr && is_src1);
+    if (from_bus) {
+        PIMSIM_ASSERT(bus_data != nullptr, "WR trigger without data");
+        if (stats_)
+            stats_->busOperand.add();
+        return true;
+    }
+    PIMSIM_ASSERT(pch_.bank(bankOf(space)).state == BankState::Active,
+                  "bank operand fetch from idle bank ", bankOf(space));
+    if (stats_)
+        stats_->bankRead.add();
+    return false;
+}
+
+void
+PimUnit::countBankResult(OperandSpace space)
+{
+    PIMSIM_ASSERT(pch_.bank(bankOf(space)).state == BankState::Active,
+                  "bank result write to idle bank ", bankOf(space));
+    if (stats_)
+        stats_->bankWrite.add();
+}
+
+void
+PimUnit::countTraffic(const PimInst &inst, CommandType type,
+                      const Burst *bus_data)
+{
+    // The fetches and the write of execute(), in the same order.
+    auto source = [&](OperandSpace space, bool is_src1) {
+        if (isBankSpace(space))
+            countBankOperand(space, type, bus_data, is_src1);
+    };
+    source(inst.src0, false);
+    if (inst.opcode != PimOpcode::Mov && inst.opcode != PimOpcode::Fill)
+        source(inst.src1, true);
+    if (inst.opcode == PimOpcode::Mac)
+        source(inst.dst, false);
+    if (isBankSpace(inst.dst))
+        countBankResult(inst.dst);
+    else if (isSrfSpace(inst.dst))
+        PIMSIM_PANIC("SRF is not a legal result destination");
 }
 
 LaneVector
@@ -245,25 +309,9 @@ PimUnit::fetchOperand(OperandSpace space, unsigned index, CommandType type,
       }
       case OperandSpace::EvenBank:
       case OperandSpace::OddBank: {
-        // A WR trigger carries host data on the write bus; a bank-space
-        // source then reads the bus instead of the array. With the SRW
-        // variant (Fig. 14), SRC1 still reads the bank so one WR can
-        // deliver a vector operand and stream a matrix operand at once.
-        const bool from_bus =
-            type == CommandType::Wr &&
-            !(config_.dse.simultaneousRdWr && is_src1);
-        if (from_bus) {
-            PIMSIM_ASSERT(bus_data != nullptr, "WR trigger without data");
-            if (stats_)
-                stats_->busOperand.add();
+        if (countBankOperand(space, type, bus_data, is_src1))
             return burstToLanes(*bus_data);
-        }
-        const unsigned bank =
-            space == OperandSpace::EvenBank ? evenBank_ : oddBank_;
-        PIMSIM_ASSERT(pch_.bank(bank).state == BankState::Active,
-                      "bank operand fetch from idle bank ", bank);
-        if (stats_)
-            stats_->bankRead.add();
+        const unsigned bank = bankOf(space);
         // The bank read passes through the same on-die ECC engine as a
         // host RD (Section VIII); count what it observes. The DataStore
         // hook additionally records the event in the system error log.
@@ -293,12 +341,8 @@ PimUnit::writeResult(OperandSpace space, unsigned index, unsigned col,
         return;
       case OperandSpace::EvenBank:
       case OperandSpace::OddBank: {
-        const unsigned bank =
-            space == OperandSpace::EvenBank ? evenBank_ : oddBank_;
-        PIMSIM_ASSERT(pch_.bank(bank).state == BankState::Active,
-                      "bank result write to idle bank ", bank);
-        if (stats_)
-            stats_->bankWrite.add();
+        countBankResult(space);
+        const unsigned bank = bankOf(space);
         pch_.dataStore().write(bank, pch_.bank(bank).openRow, col,
                                lanesToBurst(value));
         return;
@@ -314,7 +358,7 @@ PimUnit::writeResult(OperandSpace space, unsigned index, unsigned col,
 void
 PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
 {
-    const PimInst inst = resolveControl();
+    const PimInst inst = fetch();
     if (halted_) {
         // Faulted units stay silent; otherwise the host over-issued
         // triggers — harmless but worth counting.
@@ -330,6 +374,7 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
         if (++nopConsumed_ >= std::max(1u, inst.imm0)) {
             nopConsumed_ = 0;
             ++ppc_;
+            hasPrefetch_ = false;
         }
         return;
     }
@@ -338,6 +383,22 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
         stats_->opExec.add();
     ++executed_;
 
+    if (config_.functional)
+        execute(inst, type, col, bus_data);
+    else
+        countTraffic(inst, type, bus_data);
+
+    ++ppc_;
+    hasPrefetch_ = false;
+    // Pre-decode the next slot so zero-cycle JUMP/EXIT take effect
+    // immediately (the fetch stage runs ahead of the next trigger).
+    fetch();
+}
+
+void
+PimUnit::execute(const PimInst &inst, CommandType type, unsigned col,
+                 const Burst *bus_data)
+{
     const unsigned s0 = effectiveIndex(inst, inst.src0Idx, inst.src0, col);
     const unsigned s1 = effectiveIndex(inst, inst.src1Idx, inst.src1, col);
     const unsigned d = effectiveIndex(inst, inst.dstIdx, inst.dst, col);
@@ -401,11 +462,6 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
       default:
         PIMSIM_PANIC("control opcode reached execute stage");
     }
-
-    ++ppc_;
-    // Pre-decode the next slot so zero-cycle JUMP/EXIT take effect
-    // immediately (the fetch stage runs ahead of the next trigger).
-    resolveControl();
 }
 
 } // namespace pimsim

@@ -114,6 +114,42 @@ class PimUnit
      */
     PimInst resolveControl();
 
+    /**
+     * The instruction at the current PPC: the one resolveControl()
+     * decoded ahead of this trigger while the CRF is unchanged since,
+     * else a fresh resolveControl(). Each slot is decoded once per
+     * trigger.
+     */
+    PimInst fetch();
+
+    /** Run one non-control instruction on real operands and results. */
+    void execute(const PimInst &inst, CommandType type, unsigned col,
+                 const Burst *bus_data);
+
+    /**
+     * Timing-only execute (PimConfig::functional off): the bank and bus
+     * traffic of the instruction's operand fetches and result write,
+     * counted and checked exactly as execute() does, without the bytes.
+     */
+    void countTraffic(const PimInst &inst, CommandType type,
+                      const Burst *bus_data);
+
+    /**
+     * Count and check one bank-space operand fetch.
+     * @return true when the operand comes from the write bus
+     */
+    bool countBankOperand(OperandSpace space, CommandType type,
+                          const Burst *bus_data, bool is_src1);
+
+    /** Count and check one bank-space result write. */
+    void countBankResult(OperandSpace space);
+
+    /** Flat bank index of EvenBank/OddBank. */
+    unsigned bankOf(OperandSpace space) const
+    {
+        return space == OperandSpace::EvenBank ? evenBank_ : oddBank_;
+    }
+
     /** Fetch one 16-lane operand. */
     LaneVector fetchOperand(OperandSpace space, unsigned index,
                             CommandType type, unsigned col,
@@ -147,6 +183,11 @@ class PimUnit
     std::uint64_t executed_ = 0;
     std::uint64_t sdcExposed_ = 0;
     std::vector<int> jumpRemaining_;
+    /** fetch()'s decode-ahead: valid while hasPrefetch_ and the CRF
+     *  version still equals prefetchVersion_. */
+    PimInst prefetch_;
+    std::uint64_t prefetchVersion_ = 0;
+    bool hasPrefetch_ = false;
 };
 
 } // namespace pimsim

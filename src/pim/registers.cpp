@@ -51,6 +51,7 @@ void
 PimRegisterFile::reset()
 {
     std::fill(crf_.begin(), crf_.end(), 0);
+    ++crfVersion_;
     for (auto &r : grfA_)
         r.fill(Fp16());
     for (auto &r : grfB_)
@@ -76,6 +77,7 @@ PimRegisterFile::setCrf(unsigned index, std::uint32_t word)
 {
     PIMSIM_ASSERT(index < crf_.size(), "CRF index ", index);
     crf_[index] = word;
+    ++crfVersion_;
     crfPoison_[index] = 0; // an overwrite masks an unconsumed plant
 }
 
@@ -144,6 +146,7 @@ PimRegisterFile::flipCrfBit(unsigned index, unsigned bit)
     PIMSIM_ASSERT(index < crf_.size() && bit < 32, "CRF flip at ", index,
                   ":", bit);
     crf_[index] ^= 1u << bit;
+    ++crfVersion_;
     crfPoison_[index] = 1;
 }
 

@@ -48,6 +48,12 @@ class PimRegisterFile
     std::uint32_t crf(unsigned index) const;
     void setCrf(unsigned index, std::uint32_t word);
     unsigned crfEntries() const { return static_cast<unsigned>(crf_.size()); }
+    /**
+     * Bumped by every CRF change (reset, setCrf, flipCrfBit), so a
+     * sequencer can tell whether an instruction it decoded ahead of the
+     * next trigger is still the word in the slot.
+     */
+    std::uint64_t crfVersion() const { return crfVersion_; }
 
     // GRF access (half: 0 == GRF_A, 1 == GRF_B).
     const LaneVector &grf(unsigned half, unsigned index) const;
@@ -91,6 +97,7 @@ class PimRegisterFile
     unsigned grfPerHalf_;
     unsigned srfPerFile_;
     std::vector<std::uint32_t> crf_;
+    std::uint64_t crfVersion_ = 0;
     std::vector<LaneVector> grfA_;
     std::vector<LaneVector> grfB_;
     std::vector<Fp16> srfM_;

@@ -13,6 +13,7 @@ FaultInjector::FaultInjector(PimSystem &system, const FaultRates &rates,
                              std::uint64_t seed)
     : system_(system), rates_(rates), rng_(seed), stats_("faultInjector")
 {
+    system.requireFunctional("a FaultInjector");
 }
 
 unsigned

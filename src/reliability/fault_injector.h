@@ -72,7 +72,9 @@ struct FaultCounts
 
 /**
  * Injects faults into a live PimSystem and schedules injections over
- * simulated time (the campaign controller).
+ * simulated time (the campaign controller). The system must be
+ * functional: faults live in operand bytes a timing-only system never
+ * holds (PimSystem::requireFunctional).
  */
 class FaultInjector
 {

@@ -10,6 +10,9 @@ ShardServiceModel::ShardServiceModel(const SystemConfig &base,
     : config_(base), channels_(channels), cache_(std::move(cache))
 {
     PIMSIM_ASSERT(channels_ >= 1, "shard needs at least one channel");
+    // The memo only needs latencies, which never depend on the data:
+    // measure on a timing-only system (no operand bytes or lane math).
+    config_.pim.functional = false;
     // Rebuild the stack/channel split for the shard's channel count; the
     // per-channel geometry, timing and host model stay the base's.
     if (channels_ >= config_.geometry.pchPerStack) {

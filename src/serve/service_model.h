@@ -7,7 +7,8 @@
  * core property), so each distinct (app, batch) is executed once on a
  * shard-sized system through the real AppRunner/PimBlas command-level
  * path and memoised; the queueing simulation then replays the measured
- * number. A cross-engine cache lets benchmark sweeps share measurements
+ * number. Latency never depends on the data, so that system is
+ * timing-only (PimConfig::functional off). A cross-engine cache lets benchmark sweeps share measurements
  * between policy/rate cells instead of re-simulating identical kernels.
  */
 

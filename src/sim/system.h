@@ -51,6 +51,20 @@ class PimSystem
     const SystemConfig &config() const { return config_; }
     const AddressMapping &mapping() const { return mapping_; }
 
+    /**
+     * The one check for uses that need operand bytes (fault injection,
+     * ABFT, SDC attribution, functional readback): they fail with a
+     * clear message on a timing-only system (PimConfig::functional
+     * off), whose DRAM rows and registers never hold kernel data.
+     * @param what  the rejected use, for the message
+     */
+    void requireFunctional(const char *what) const
+    {
+        PIMSIM_ASSERT(config_.pim.functional, what,
+                      " needs operand bytes, but this system is timing-only "
+                      "(PimConfig::functional is off)");
+    }
+
     unsigned numChannels() const
     {
         return static_cast<unsigned>(controllers_.size());

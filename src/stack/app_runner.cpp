@@ -63,17 +63,20 @@ AppRunner::pimGemv(unsigned m, unsigned n)
     if (it != gemvCache_.end())
         return it->second;
 
-    // Execute the real command-level kernel once with random data; the
-    // timing of subsequent identical shapes is identical (deterministic
-    // latency is the PIM architecture's core property).
-    Rng rng(0x9e3779b9u ^ (std::uint64_t{m} << 20) ^ n);
-    Fp16Vector w(std::size_t{m} * n);
-    for (auto &v : w)
-        v = rng.nextFp16();
-    Fp16Vector x(n);
-    for (auto &v : x)
-        v = rng.nextFp16();
-    Fp16Vector y;
+    // Execute the real command-level kernel once; the timing of
+    // subsequent identical shapes is identical (deterministic latency is
+    // the PIM architecture's core property). Only a functional system
+    // needs operand values: a timing-only one takes the shape alone.
+    Fp16Vector w, x, y;
+    if (functional()) {
+        Rng rng(0x9e3779b9u ^ (std::uint64_t{m} << 20) ^ n);
+        w.resize(std::size_t{m} * n);
+        for (auto &v : w)
+            v = rng.nextFp16();
+        x.resize(n);
+        for (auto &v : x)
+            v = rng.nextFp16();
+    }
     const BlasTiming t = blas_->gemv(w, m, n, x, y);
     gemvCache_[key] = t;
     return t;
@@ -88,23 +91,26 @@ AppRunner::pimElementwise(MicroKind kind, std::uint64_t elements)
     if (it != elemCache_.end())
         return it->second;
 
+    // The vector length sets the kernel shape; a timing-only system
+    // ignores the (zero) values.
     Rng rng(0xc0ffee ^ elements);
-    Fp16Vector a(elements);
-    for (auto &v : a)
-        v = rng.nextFp16();
+    auto operand = [&](std::uint64_t n) {
+        Fp16Vector v(n);
+        if (functional()) {
+            for (auto &e : v)
+                e = rng.nextFp16();
+        }
+        return v;
+    };
+    const Fp16Vector a = operand(elements);
     Fp16Vector out;
     BlasTiming t;
     if (kind == MicroKind::Add) {
-        Fp16Vector b(elements);
-        for (auto &v : b)
-            v = rng.nextFp16();
+        const Fp16Vector b = operand(elements);
         t = blas_->add(a, b, out);
     } else {
-        Fp16Vector gamma(8), beta(8);
-        for (auto &v : gamma)
-            v = rng.nextFp16();
-        for (auto &v : beta)
-            v = rng.nextFp16();
+        const Fp16Vector gamma = operand(8);
+        const Fp16Vector beta = operand(8);
         t = blas_->bn(a, gamma, beta, out);
     }
     elemCache_[key] = t;

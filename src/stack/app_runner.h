@@ -74,6 +74,13 @@ class AppRunner
     void setTrace(TraceSession *session) { trace_ = session; }
 
   private:
+    /** False on a timing-only PIM system (PimConfig::functional off),
+     *  which needs kernel shapes but no operand values. */
+    bool functional() const
+    {
+        return blas_->system().config().pim.functional;
+    }
+
     /** Timed PIM GEMV for a shape, memoised (weights are resident). */
     BlasTiming pimGemv(unsigned m, unsigned n);
     /** Timed PIM element-wise op of a length, memoised. */

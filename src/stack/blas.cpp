@@ -120,6 +120,22 @@ PimBlas::elementwiseGolden(PimOpcode op, bool relu_move, const Fp16Vector &a,
     }
 }
 
+void
+PimBlas::setAbft(bool on)
+{
+    if (on)
+        system_.requireFunctional("PimBlas ABFT");
+    abft_ = on;
+}
+
+void
+PimBlas::setSdcMonitor(SdcMonitor *monitor)
+{
+    if (monitor)
+        system_.requireFunctional("an SdcMonitor");
+    sdcMonitor_ = monitor;
+}
+
 PimBlas::PimBlas(PimSystem &system) : system_(system), driver_(system)
 {
     PIMSIM_ASSERT(system.config().withPim(),
@@ -222,6 +238,7 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
     const unsigned rows =
         static_cast<unsigned>(divCeil(groups, groups_per_row));
 
+    const bool functional = system_.config().pim.functional;
     BlasTiming timing;
     PimRowBlock block;
     if (driver_.allocRows(rows, block) != PimStatus::Ok) {
@@ -362,8 +379,9 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
 
         // (Re)stage the operands. A retry rewrites them, which repairs
         // any transient corruption the region accumulated; stuck-at
-        // defects survive the rewrite and keep the attempt failing.
-        for (std::uint64_t q = 0; q < chunks; ++q) {
+        // defects survive the rewrite and keep the attempt failing. A
+        // timing-only system stages and reads back nothing.
+        for (std::uint64_t q = 0; functional && q < chunks; ++q) {
             const auto loc = place(q);
             driver_.preload(loc.ch, 2 * loc.unit, loc.row, loc.col,
                             sliceBurst(a, q * kSimdLanes));
@@ -391,7 +409,7 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
         // work). The read passes through ECC, so result corruption that
         // happened after the kernel is detected here and lands in the
         // error log like any other demand access.
-        for (std::uint64_t q = 0; q < chunks; ++q) {
+        for (std::uint64_t q = 0; functional && q < chunks; ++q) {
             const auto loc = place(q);
             const Burst result =
                 driver_.peek(loc.ch, 2 * loc.unit, loc.row, 16 + loc.col);
@@ -487,8 +505,12 @@ BlasTiming
 PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
               const Fp16Vector &x, Fp16Vector &y)
 {
-    PIMSIM_ASSERT(w.size() == std::size_t{m} * n, "W shape mismatch");
-    PIMSIM_ASSERT(x.size() == n, "x length mismatch");
+    // A timing-only system needs only the shape: empty w and x stand in.
+    const bool functional = system_.config().pim.functional;
+    const bool shape_only = !functional && w.empty() && x.empty();
+    PIMSIM_ASSERT(shape_only || w.size() == std::size_t{m} * n,
+                  "W shape mismatch");
+    PIMSIM_ASSERT(shape_only || x.size() == n, "x length mismatch");
     y.assign(m, Fp16());
     if (m == 0 || n == 0)
         return {};
@@ -525,7 +547,8 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
         PIMSIM_WARN("GEMV cannot allocate ",
                     passes * w_rows_per_pass + out_rows, " PIM rows (free ",
                     driver_.freeRows(), "); computing on the host");
-        y = refGemv(w, m, n, x);
+        if (functional)
+            y = refGemv(w, m, n, x);
         timing.hostFallback = true;
         traceKernel(span_name, start);
         return timing;
@@ -689,7 +712,8 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
     const std::uint64_t uc_start = system_.errorLog().uncorrectable();
     for (unsigned attempt = 0; attempt <= maxRetries_; ++attempt) {
         const std::uint64_t uc0 = system_.errorLog().uncorrectable();
-        preloadW();
+        if (functional)
+            preloadW();
 
         ActivityProbe probe(system_);
         const PimRunResult run =
@@ -709,7 +733,8 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
         // the partial buffers back (SB mode) and reduces. Timed
         // analytically as a full-bandwidth stream plus negligible
         // compute. The read passes through ECC like any demand access.
-        for (std::uint64_t mm = 0; mm < m; ++mm) {
+        // A timing-only system keeps y zero.
+        for (std::uint64_t mm = 0; functional && mm < m; ++mm) {
             const std::uint64_t pass_slot = mm / 2;
             const unsigned p = static_cast<unsigned>(pass_slot / slots);
             const unsigned slot = static_cast<unsigned>(pass_slot % slots);
@@ -750,7 +775,8 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
 
     PIMSIM_WARN("GEMV PIM kernel still failing after ", maxRetries_,
                 " retries; falling back to host execution");
-    y = refGemv(w, m, n, x);
+    if (functional)
+        y = refGemv(w, m, n, x);
     timing.hostFallback = true;
     timing.eccCorrected = system_.errorLog().corrected() - corr0;
     timing.eccUncorrectable = system_.errorLog().uncorrectable() - uc_start;

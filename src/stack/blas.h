@@ -70,6 +70,12 @@ using Fp16Vector = std::vector<Fp16>;
  * the PIM units produced (read back from simulated DRAM), and timing
  * reflects the full command-level execution including mode transitions,
  * CRF setup and fences.
+ *
+ * On a timing-only system (PimConfig::functional off) every call issues
+ * the same commands and returns the same BlasTiming, but stages no
+ * operands and reads nothing back: gemv/add/mul/relu/bn return
+ * zero-filled outputs, and gemv also accepts empty w and x (only m and
+ * n matter). ABFT and an SdcMonitor need real values and are rejected.
  */
 class PimBlas
 {
@@ -138,12 +144,12 @@ class PimBlas
      * a silently wrong result beyond the band) and are attributed to
      * their (channel, unit) at the attached SdcMonitor.
      */
-    void setAbft(bool on) { abft_ = on; }
+    void setAbft(bool on);
     bool abft() const { return abft_; }
 
     /** Attribution sink for verified tile outcomes (nullptr detaches;
      *  not owned, must outlive the BLAS instance or be detached). */
-    void setSdcMonitor(SdcMonitor *monitor) { sdcMonitor_ = monitor; }
+    void setSdcMonitor(SdcMonitor *monitor);
 
   private:
     /** Emit a kernel span [start_ns, now) if tracing is on. */

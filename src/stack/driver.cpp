@@ -137,6 +137,7 @@ Burst
 PimDriver::peek(unsigned channel, unsigned flat_bank, unsigned row,
                 unsigned col) const
 {
+    system_.requireFunctional("PimDriver::peek");
     return system_.controller(channel).channel().dataStore().read(flat_bank,
                                                                   row, col);
 }
@@ -145,6 +146,7 @@ Burst
 PimDriver::peekChecked(unsigned channel, unsigned flat_bank, unsigned row,
                        unsigned col, EccStatus *ecc) const
 {
+    system_.requireFunctional("PimDriver::peekChecked");
     return system_.controller(channel).channel().dataStore().read(
         flat_bank, row, col, ecc);
 }

@@ -92,7 +92,10 @@ class PimDriver
     void preload(unsigned channel, unsigned flat_bank, unsigned row,
                  unsigned col, const Burst &data);
 
-    /** Functional readback (verification / untimed result consumption). */
+    /**
+     * Functional readback (verification / untimed result consumption).
+     * Rejected on a timing-only system (PimSystem::requireFunctional).
+     */
     Burst peek(unsigned channel, unsigned flat_bank, unsigned row,
                unsigned col) const;
 

@@ -483,5 +483,92 @@ TEST_F(PimFixture, TriggersAfterExitAreCountedNotExecuted)
     EXPECT_EQ(pim.unit(0).executedCount(), 0u);
 }
 
+// The sequencer decodes the slot after each executed instruction ahead
+// of the next trigger. A CRF change between two triggers must win over
+// that decode: the next trigger executes the new word, and a planted
+// flip counts as one exposure, never zero or two.
+struct CrfChangeFixture : public PimFixture
+{
+    /** SRF_A[0] = 3, program {ADD, ADD, EXIT} on GRF_A[0], AB-PIM on
+     *  and a data row open. */
+    void
+    arm()
+    {
+        loadProgram({
+            PimInst::add(OperandSpace::GrfA, 0, OperandSpace::GrfA, 0,
+                         OperandSpace::SrfA, 0),
+            PimInst::add(OperandSpace::GrfA, 0, OperandSpace::GrfA, 0,
+                         OperandSpace::SrfA, 0),
+            PimInst::exit(),
+        });
+        enterAb();
+        issue(Command::act(0, 0, conf.configRow));
+        Burst srf{};
+        const Fp16 three(3.0f);
+        srf[0] = static_cast<std::uint8_t>(three.bits() & 0xff);
+        srf[1] = static_cast<std::uint8_t>(three.bits() >> 8);
+        issue(Command::wr(0, 0, pim.srfACol(), srf));
+        Burst on{};
+        on[0] = 1;
+        issue(Command::wr(0, 0, pim.opModeCol(), on));
+        issue(Command::preAll());
+        issue(Command::act(0, 0, 3));
+    }
+
+    /** Bit 28 is the low opcode bit: ADD (8) <-> MUL (9). */
+    static constexpr unsigned kAddToMulBit = 28;
+};
+
+TEST_F(CrfChangeFixture, BitFlipBetweenTriggersRunsNewWordCountsOnce)
+{
+    arm();
+    issue(Command::rd(0, 0, 0)); // ADD: GRF_A[0] = 3
+    pim.unit(0).regs().flipCrfBit(1, kAddToMulBit);
+    issue(Command::rd(0, 0, 1)); // the flipped word: MUL, 3 * 3
+    issue(Command::rd(0, 0, 2)); // after EXIT: no second exposure
+
+    EXPECT_EQ(pim.unit(0).regs().grf(0, 0)[0].bits(), Fp16(9.0f).bits());
+    EXPECT_EQ(pim.unit(0).sdcExposed(), 1u);
+    EXPECT_EQ(pim.unit(0).executedCount(), 2u);
+    EXPECT_TRUE(pim.unit(0).halted());
+    // Unflipped units ran the original ADD: 3 + 3.
+    EXPECT_EQ(pim.unit(1).regs().grf(0, 0)[0].bits(), Fp16(6.0f).bits());
+    EXPECT_EQ(pim.unit(1).sdcExposed(), 0u);
+    EXPECT_EQ(pim.stats().counter("pim.sdcExposed"), 1u);
+    EXPECT_EQ(pim.stats().counter("pim.op.MUL"), 1u);
+    EXPECT_EQ(pim.stats().counter("pim.op.ADD"), 15u);
+}
+
+TEST_F(CrfChangeFixture, SetCrfRewriteBetweenTriggersRunsNewWord)
+{
+    // The flip lands before the first trigger, whose decode-ahead of
+    // slot 1 consumes it (one exposure); the rewrite then replaces the
+    // poisoned word before it executes.
+    arm();
+    pim.unit(0).regs().flipCrfBit(1, kAddToMulBit);
+    issue(Command::rd(0, 0, 0)); // ADD: GRF_A[0] = 3
+    EXPECT_EQ(pim.unit(0).sdcExposed(), 1u);
+    for (unsigned u = 0; u < pim.numUnits(); ++u) {
+        pim.unit(u).regs().setCrf(
+            1, PimInst::mov(OperandSpace::GrfA, 1, OperandSpace::GrfA, 0)
+                   .encode());
+    }
+    issue(Command::rd(0, 0, 1)); // the rewritten word: MOV GRF_A[1]
+    issue(Command::rd(0, 0, 2));
+
+    for (unsigned u = 0; u < pim.numUnits(); ++u) {
+        EXPECT_EQ(pim.unit(u).regs().grf(0, 0)[0].bits(), Fp16(3.0f).bits())
+            << "unit " << u;
+        EXPECT_EQ(pim.unit(u).regs().grf(0, 1)[0].bits(), Fp16(3.0f).bits())
+            << "unit " << u;
+        EXPECT_EQ(pim.unit(u).executedCount(), 2u);
+        EXPECT_TRUE(pim.unit(u).halted());
+    }
+    EXPECT_EQ(pim.unit(0).sdcExposed(), 1u);
+    EXPECT_EQ(pim.stats().counter("pim.sdcExposed"), 1u);
+    EXPECT_EQ(pim.stats().counter("pim.op.MOV"), 8u);
+    EXPECT_EQ(pim.stats().counter("pim.op.MUL"), 0u);
+}
+
 } // namespace
 } // namespace pimsim
