@@ -110,14 +110,6 @@ check(bool ok, const std::string &what)
         g_failures.push_back(what);
 }
 
-SystemConfig
-benchSystem()
-{
-    SystemConfig sys = SystemConfig::pimHbmSystem();
-    sys.numStacks = 1; // one stack: 16 pseudo channels
-    return sys;
-}
-
 /**
  * Decode-heavy serving mix: short prompts, long generations. This is
  * the regime the subsystem targets — decode iterations dominate device
@@ -145,7 +137,7 @@ cellConfig(BatchPolicy policy, double deadline_ns,
            const std::shared_ptr<serve::ServiceTimeCache> &cache)
 {
     LlmEngineConfig cfg;
-    cfg.system = benchSystem();
+    cfg.system.numStacks = 1; // one stack: 16 pseudo channels
     cfg.decoder = DecoderSpec::tiny();
     cfg.tenants = {LlmTenantSpec{"prod", deadline_ns, 0}};
     cfg.batcher.policy = policy;
@@ -155,33 +147,42 @@ cellConfig(BatchPolicy policy, double deadline_ns,
     return cfg;
 }
 
-/** The engine's prefill pricing, mirrored for calibration (same
- *  memoised model, same default granules). */
-double
-prefillNs(serve::ShardServiceModel &model, const DecoderSpec &spec,
-          unsigned ctx)
+/** The engine's own pricing at the bench configuration (same memoised
+ *  model, same granules), for calibration. */
+DecodeCost
+benchCost(const std::shared_ptr<serve::ServiceTimeCache> &cache)
 {
-    const unsigned bucket = ctxBucket(ctx, 64);
-    return model.serviceNs(decodeFfnApp(spec), bucket) +
-           model.serviceNs(decodeAttnApp(spec, ctxBucket(ctx, 128)),
-                           std::max(1u, bucket / 2));
+    const LlmEngineConfig cfg =
+        cellConfig(BatchPolicy::Continuous, 0.0, cache);
+    return DecodeCost(cfg.system, cfg.decoder, cfg.ctxGranule,
+                      cfg.prefillGranule, cfg.timingCache);
 }
 
 /** Device time one request demands end to end: staged prefill plus
  *  decode at full-batch FFN amortisation and mid-stream context. */
 double
-requestDemandNs(serve::ShardServiceModel &model, const DecoderSpec &spec,
-                double prompt_tokens, double output_tokens)
+requestDemandNs(DecodeCost &cost, double prompt_tokens,
+                double output_tokens)
 {
-    const unsigned p = static_cast<unsigned>(prompt_tokens);
     const unsigned mid_ctx = static_cast<unsigned>(
         prompt_tokens + 0.5 * output_tokens);
-    const double ffn_tok =
-        model.serviceNs(decodeFfnApp(spec), kMaxBatch) / kMaxBatch;
-    const double attn_tok =
-        model.serviceNs(decodeAttnApp(spec, ctxBucket(mid_ctx, 128)), 1);
-    return prefillNs(model, spec, p) +
-           output_tokens * (ffn_tok + attn_tok);
+    const double tok_ns = cost.tokenNs(mid_ctx, kMaxBatch);
+    return cost.prefillNs(static_cast<unsigned>(prompt_tokens)) +
+           output_tokens * tok_ns;
+}
+
+/** Roomy per-request SLO: 5x an unloaded p95-length request on the
+ *  batch-1 decode path (no FFN amortisation available). */
+double
+deadlineNs(DecodeCost &cost, const serve::LengthSampler &prompt,
+           const serve::LengthSampler &output)
+{
+    const double p95_prompt = prompt.analyticQuantile(0.95);
+    const double p95_out = output.analyticQuantile(0.95);
+    const double tok1_ns =
+        cost.tokenNs(static_cast<unsigned>(p95_prompt + p95_out), 1);
+    return 5.0 * (cost.prefillNs(static_cast<unsigned>(p95_prompt)) +
+                  p95_out * tok1_ns);
 }
 
 /**
@@ -192,17 +193,11 @@ requestDemandNs(serve::ShardServiceModel &model, const DecoderSpec &spec,
 void
 calibrate(const std::shared_ptr<serve::ServiceTimeCache> &cache)
 {
-    const DecoderSpec spec = DecoderSpec::tiny();
-    serve::ShardServiceModel model(benchSystem(),
-                                   benchSystem().numChannels(), cache);
-    const AppSpec ffn = decodeFfnApp(spec);
+    DecodeCost cost = benchCost(cache);
     const unsigned typ_ctx = static_cast<unsigned>(
         promptProfile().medianTokens +
         outputProfile(false).medianTokens / 2);
-    const AppSpec attn = decodeAttnApp(spec, ctxBucket(typ_ctx, 128));
-    const double iter_ns = model.serviceNs(ffn, kMaxBatch) +
-                           kMaxBatch * model.serviceNs(attn, 1);
-    g_perTokenNs = iter_ns / kMaxBatch;
+    g_perTokenNs = cost.tokenNs(typ_ctx, kMaxBatch);
     g_capacityTps = 1e9 / g_perTokenNs;
 }
 
@@ -225,33 +220,16 @@ runCell(BatchPolicy policy, double load, bool long_outputs,
     // the device time a mean-length request demands end to end
     // (prefill included — the expensive part the naive token-capacity
     // number hides).
-    const DecoderSpec spec = DecoderSpec::tiny();
-    serve::ShardServiceModel model(benchSystem(),
-                                   benchSystem().numChannels(), cache);
+    DecodeCost cost = benchCost(cache);
     const serve::LengthSampler prompt_sampler(traffic.prompt);
     const serve::LengthSampler out_sampler(traffic.output);
     const double demand_ns =
-        requestDemandNs(model, spec, prompt_sampler.analyticMean(),
+        requestDemandNs(cost, prompt_sampler.analyticMean(),
                         out_sampler.analyticMean());
     cell.capacityRps = 1e9 / demand_ns;
     cell.offeredRps = load * cell.capacityRps;
     traffic.ratePerSec = cell.offeredRps;
-
-    // Roomy per-request SLO: 5x an unloaded p95-length request on the
-    // batch-1 decode path (no FFN amortisation available).
-    const double p95_prompt = prompt_sampler.analyticQuantile(0.95);
-    const double p95_out = out_sampler.analyticQuantile(0.95);
-    const double tok1_ns =
-        model.serviceNs(decodeFfnApp(spec), 1) +
-        model.serviceNs(
-            decodeAttnApp(spec, ctxBucket(static_cast<unsigned>(
-                                              p95_prompt + p95_out),
-                                          128)),
-            1);
-    cell.deadlineNs =
-        5.0 * (prefillNs(model, spec,
-                         static_cast<unsigned>(p95_prompt)) +
-               p95_out * tok1_ns);
+    cell.deadlineNs = deadlineNs(cost, prompt_sampler, out_sampler);
 
     const std::uint64_t n = g_smoke ? 250 : 2'500;
     const double horizon_ns =
@@ -287,30 +265,15 @@ runTail(const std::shared_ptr<serve::ServiceTimeCache> &cache,
     // the session's 4M-event budget (~40 events per kept trace).
     traffic.output = serve::LengthConfig{16.0, 0.6, 4, 64};
 
-    const DecoderSpec spec = DecoderSpec::tiny();
-    serve::ShardServiceModel model(benchSystem(),
-                                   benchSystem().numChannels(), cache);
+    DecodeCost cost = benchCost(cache);
     const serve::LengthSampler prompt_sampler(traffic.prompt);
     const serve::LengthSampler out_sampler(traffic.output);
     const double demand_ns =
-        requestDemandNs(model, spec, prompt_sampler.analyticMean(),
+        requestDemandNs(cost, prompt_sampler.analyticMean(),
                         out_sampler.analyticMean());
     const double capacity_rps = 1e9 / demand_ns;
     traffic.ratePerSec = 1.1 * capacity_rps; // sustained mild overload
-
-    const double p95_prompt = prompt_sampler.analyticQuantile(0.95);
-    const double p95_out = out_sampler.analyticQuantile(0.95);
-    const double tok1_ns =
-        model.serviceNs(decodeFfnApp(spec), 1) +
-        model.serviceNs(
-            decodeAttnApp(spec, ctxBucket(static_cast<unsigned>(
-                                              p95_prompt + p95_out),
-                                          128)),
-            1);
-    const double deadline_ns =
-        5.0 * (prefillNs(model, spec,
-                         static_cast<unsigned>(p95_prompt)) +
-               p95_out * tok1_ns);
+    const double deadline_ns = deadlineNs(cost, prompt_sampler, out_sampler);
 
     const std::uint64_t n = g_smoke ? 5'000 : 100'000;
     const double horizon_ns =

@@ -220,44 +220,26 @@ main(int argc, char **argv)
     // end (prefill is the expensive part a naive token rate hides), so
     // --load is expressed relative to request capacity.
     std::printf("calibrating request demand...\n");
-    serve::ShardServiceModel model(config.system,
-                                   config.system.numChannels(),
-                                   config.timingCache);
-    const DecoderSpec &spec = config.decoder;
-    const auto prefill_ns = [&](unsigned ctx) {
-        const unsigned bucket = ctxBucket(ctx, config.prefillGranule);
-        return model.serviceNs(decodeFfnApp(spec), bucket) +
-               model.serviceNs(
-                   decodeAttnApp(spec, ctxBucket(ctx, config.ctxGranule)),
-                   std::max(1u, bucket / 2));
-    };
+    DecodeCost cost(config.system, config.decoder, config.ctxGranule,
+                    config.prefillGranule, config.timingCache);
     const double mean_prompt = prompt_sampler.analyticMean();
     const double mean_out = out_sampler.analyticMean();
     const unsigned mid_ctx =
         static_cast<unsigned>(mean_prompt + 0.5 * mean_out);
-    const double tok_ns =
-        model.serviceNs(decodeFfnApp(spec), config.batcher.maxBatch) /
-            config.batcher.maxBatch +
-        model.serviceNs(
-            decodeAttnApp(spec, ctxBucket(mid_ctx, config.ctxGranule)), 1);
+    const double tok_ns = cost.tokenNs(mid_ctx, config.batcher.maxBatch);
     const double demand_ns =
-        prefill_ns(static_cast<unsigned>(mean_prompt)) + mean_out * tok_ns;
+        cost.prefillNs(static_cast<unsigned>(mean_prompt)) +
+        mean_out * tok_ns;
     const double capacity_rps = 1e9 / demand_ns;
 
     if (deadline_ms <= 0.0) {
         const double p95_prompt = prompt_sampler.analyticQuantile(0.95);
         const double p95_out = out_sampler.analyticQuantile(0.95);
         const double tok1_ns =
-            model.serviceNs(decodeFfnApp(spec), 1) +
-            model.serviceNs(
-                decodeAttnApp(spec,
-                              ctxBucket(static_cast<unsigned>(p95_prompt +
-                                                              p95_out),
-                                        config.ctxGranule)),
-                1);
+            cost.tokenNs(static_cast<unsigned>(p95_prompt + p95_out), 1);
         deadline_ms =
             5.0 *
-            (prefill_ns(static_cast<unsigned>(p95_prompt)) +
+            (cost.prefillNs(static_cast<unsigned>(p95_prompt)) +
              p95_out * tok1_ns) /
             1e6;
     }
@@ -309,7 +291,7 @@ main(int argc, char **argv)
 
     std::printf("decoder %s on %u channels, policy %s, KV block %u "
                 "tokens\n",
-                spec.name.c_str(), config.system.numChannels(),
+                config.decoder.name.c_str(), config.system.numChannels(),
                 batchPolicyName(policy), engine.kv().blockTokens());
     std::printf("request demand %.2f ms, capacity %.1f req/s; offered "
                 "%.2fx (%.1f req/s), deadline %.1f ms%s\n\n",

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Check that the serving benches still reproduce their committed JSON.
 
-Runs bench_serving, bench_llm_serving and bench_cluster with default
-flags, each writing its JSON to a temporary file, and compares every
-body with the committed BENCH_serving.json, BENCH_llm.json and
-BENCH_cluster.json. Only `self` (the wall-clock ledger) and
-`generated_at` may differ: they describe the run, not the simulation.
+Runs bench_serving, bench_llm_serving, bench_cluster,
+bench_chaos_serving and bench_sdc with default flags, each writing its
+JSON to a temporary file, and compares every body with the committed
+BENCH_serving.json, BENCH_llm.json, BENCH_cluster.json, BENCH_chaos.json
+and BENCH_sdc.json. The last two drive the host-fallback path (tripped
+breakers, spent retry budgets, quarantined shards). Only `self` (the
+wall-clock ledger) and `generated_at` may differ: they describe the
+run, not the simulation.
 
     python3 scripts/check_bench_identity.py [--build-dir build]
 
@@ -23,7 +26,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHES = [("bench_serving", "BENCH_serving.json"),
            ("bench_llm_serving", "BENCH_llm.json"),
-           ("bench_cluster", "BENCH_cluster.json")]
+           ("bench_cluster", "BENCH_cluster.json"),
+           ("bench_chaos_serving", "BENCH_chaos.json"),
+           ("bench_sdc", "BENCH_sdc.json")]
 RUN_KEYS = ("self", "generated_at")
 MAX_REPORTED = 10
 
@@ -63,7 +68,9 @@ def main():
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for name, committed in BENCHES:
-            binary = os.path.join(args.build_dir, "bench", name)
+            # Absolute: the bench runs with the temporary directory as cwd.
+            binary = os.path.abspath(
+                os.path.join(args.build_dir, "bench", name))
             out = os.path.join(tmp, committed)
             if not os.path.isfile(binary):
                 print("%s: not built (%s)" % (name, binary), file=sys.stderr)

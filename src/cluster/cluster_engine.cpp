@@ -85,18 +85,21 @@ ClusterEngine::ClusterEngine(const ClusterConfig &config)
     PIMSIM_ASSERT(config.maxAttempts >= 1, "need >= 1 dispatch attempt");
     PIMSIM_ASSERT(config.queueDepth >= 1, "need a router queue");
 
-    auto cache = config_.cache ? config_.cache
-                               : std::make_shared<serve::ServiceTimeCache>();
-    config_.cache = cache;
     hosts_.reserve(config.numHosts);
     for (unsigned h = 0; h < config.numHosts; ++h) {
         hosts_.push_back(std::make_unique<HostModel>(
-            h, config_.system, config_.stacksPerHost, config_.link, cache));
+            h, config_.system, config_.stacksPerHost, config_.link));
     }
+
+    // Every dispatch is batch 1 of the one app on one homogeneous
+    // stack, so a single stack-sized measurement prices them all.
+    serve::ShardServiceModel stack_model(
+        config_.system, config_.system.geometry.pchPerStack, config_.cache);
+    stackServiceNs_ = stack_model.serviceNs(config_.app, 1);
 
     const Link &link = hosts_[0]->link();
     attemptEstimateNs_ = link.uncontendedNs(config_.link.requestBytes) +
-                         hosts_[0]->serviceNs(config_.app, 1) +
+                         stackServiceNs_ +
                          link.uncontendedNs(config_.link.responseBytes);
     timeoutNs_ = config_.timeoutNs > 0.0 ? config_.timeoutNs
                                          : 6.0 * attemptEstimateNs_;
@@ -386,7 +389,7 @@ ClusterEngine::startCopy(Active &a, Copy &c, unsigned host_id,
 
     const double slow =
         faults_ != nullptr ? faults_->hostSlowdown(host_id, nowNs_) : 1.0;
-    const double svc = host.serviceNs(config_.app, 1) * slow;
+    const double svc = stackServiceNs_ * slow;
     const double at_host =
         host.link().transfer(config_.link.requestBytes, nowNs_);
     const double done =

@@ -7,7 +7,7 @@
  * at a cluster router, pass global admission control, and are routed to
  * a data-parallel replica — a HostModel of N PIM stacks behind a
  * bandwidth/latency/occupancy link. Dispatch cost is link transfer +
- * the stack's command-level kernel time (memoised ShardServiceModel) +
+ * the stack's command-level kernel time (ShardServiceModel, priced once) +
  * response latency.
  *
  * Fault tolerance:
@@ -52,6 +52,7 @@
 #include "common/slo.h"
 #include "common/stats.h"
 #include "serve/resilience.h"
+#include "serve/service_model.h"
 #include "serve/serving_engine.h" // LatencySummary
 #include "sim/system_config.h"
 #include "stack/workloads.h"
@@ -105,6 +106,7 @@ struct ClusterConfig
     /** Attempt-latency histogram shape (hedge delay + report tails). */
     std::uint64_t histBucketNs = 1'000;
     std::size_t histBuckets = 16'384;
+    /** Optional cross-engine service-time memo (benchmark sweeps). */
     std::shared_ptr<serve::ServiceTimeCache> cache;
 };
 
@@ -327,6 +329,8 @@ class ClusterEngine
     mutable double cachedHedgeDelayNs_ = 0.0;
     mutable std::uint64_t hedgeDelaySamples_ = 0;
 
+    /** Kernel time of one batch-1 dispatch on one stack. */
+    double stackServiceNs_ = 0.0;
     double attemptEstimateNs_ = 0.0;
     double timeoutNs_ = 0.0;
 

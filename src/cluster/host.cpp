@@ -6,8 +6,7 @@
 namespace pimsim::cluster {
 
 HostModel::HostModel(unsigned id, const SystemConfig &base,
-                     unsigned num_stacks, const LinkConfig &link,
-                     std::shared_ptr<serve::ServiceTimeCache> cache)
+                     unsigned num_stacks, const LinkConfig &link)
     : id_(id), link_(link)
 {
     PIMSIM_ASSERT(num_stacks >= 1, "a host needs >= 1 stack");
@@ -21,10 +20,6 @@ HostModel::HostModel(unsigned id, const SystemConfig &base,
         num_stacks * base.geometry.pchPerStack, pim_rows,
         std::vector<double>(num_stacks, 1.0));
 
-    // Stacks are homogeneous, so one memoised stack-sized timing oracle
-    // prices every stack.
-    model_ = std::make_unique<serve::ShardServiceModel>(
-        base, base.geometry.pchPerStack, std::move(cache));
     stacks_.resize(num_stacks);
 }
 

@@ -4,10 +4,9 @@
  *
  * The paper's evaluation host 2.5D-integrates four HBM2-PIM stacks; a
  * cluster host models exactly that. Each stack is an independent server
- * (a PIM kernel owns its stack's channels' lock-step AB mode), priced by
- * the same command-level ShardServiceModel the serving layer uses — the
- * stacks are homogeneous, so the host carves its channel space with a
- * ShardPlan and shares one memoised timing oracle across stacks.
+ * (a PIM kernel owns its stack's channels' lock-step AB mode); the host
+ * carves its channel space with a ShardPlan. The stacks are homogeneous,
+ * so ClusterEngine prices one dispatch for all of them.
  * Dispatches reach a stack through the host's Link (see interconnect.h).
  *
  * The host itself has no failure logic; health is observed and decided
@@ -19,14 +18,11 @@
 #define PIMSIM_CLUSTER_HOST_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cluster/interconnect.h"
-#include "serve/service_model.h"
 #include "serve/shard.h"
 #include "sim/system_config.h"
-#include "stack/workloads.h"
 
 namespace pimsim::cluster {
 
@@ -41,11 +37,9 @@ class HostModel
      *                    `num_stacks` x pchPerStack)
      * @param num_stacks  PIM stacks on this host (the paper's host: 4)
      * @param link        router<->host link parameters
-     * @param cache       shared service-time memo (may be nullptr)
      */
     HostModel(unsigned id, const SystemConfig &base, unsigned num_stacks,
-              const LinkConfig &link,
-              std::shared_ptr<serve::ServiceTimeCache> cache);
+              const LinkConfig &link);
 
     unsigned id() const { return id_; }
     unsigned numStacks() const
@@ -55,12 +49,6 @@ class HostModel
 
     /** The per-stack shard layout (disjoint channel groups). */
     const serve::ShardPlan &plan() const { return plan_; }
-
-    /** Kernel time of one dispatch of `app` at `batch` on one stack. */
-    double serviceNs(const AppSpec &app, unsigned batch)
-    {
-        return model_->serviceNs(app, batch);
-    }
 
     Link &link() { return link_; }
     const Link &link() const { return link_; }
@@ -128,7 +116,6 @@ class HostModel
 
     unsigned id_;
     serve::ShardPlan plan_;
-    std::unique_ptr<serve::ShardServiceModel> model_;
     Link link_;
     std::vector<Stack> stacks_;
     unsigned busy_ = 0;

@@ -1,5 +1,7 @@
 #include "llm/decoder.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace pimsim::llm {
@@ -67,6 +69,9 @@ ctxBucket(unsigned ctx, unsigned granule)
 
 namespace {
 
+/** attnIds_ slot of a context bucket not priced yet. */
+constexpr auto kNoApp = ~serve::ServiceTimeCache::AppId{0};
+
 LayerSpec
 fcLayer(unsigned m, unsigned n, unsigned steps)
 {
@@ -114,6 +119,36 @@ decodeAttnApp(const DecoderSpec &spec, unsigned ctx_bucket)
     // context = V^T . softmax(score) : (headDim x ctx) GEMV
     app.layers.push_back(fcLayer(spec.headDim(), ctx_bucket, steps));
     return app;
+}
+
+DecodeCost::DecodeCost(const SystemConfig &system, const DecoderSpec &spec,
+                       unsigned ctx_granule, unsigned prefill_granule,
+                       std::shared_ptr<serve::ServiceTimeCache> cache)
+    : spec_(spec), ctxGranule_(ctx_granule),
+      prefillGranule_(prefill_granule),
+      model_(system, system.numChannels(), std::move(cache)),
+      ffnId_(model_.intern(decodeFfnApp(spec)))
+{
+}
+
+serve::ServiceTimeCache::AppId
+DecodeCost::attnId(unsigned ctx)
+{
+    const unsigned bucket = ctxBucket(ctx, ctxGranule_);
+    const unsigned index = bucket / ctxGranule_ - 1;
+    if (index >= attnIds_.size())
+        attnIds_.resize(index + 1, kNoApp);
+    if (attnIds_[index] == kNoApp)
+        attnIds_[index] = model_.intern(decodeAttnApp(spec_, bucket));
+    return attnIds_[index];
+}
+
+double
+DecodeCost::prefillNs(unsigned ctx)
+{
+    const unsigned bucket = ctxBucket(ctx, prefillGranule_);
+    return ffnNs(bucket) +
+           model_.serviceNs(attnId(ctx), std::max(1u, bucket / 2));
 }
 
 } // namespace pimsim::llm

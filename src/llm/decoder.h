@@ -8,7 +8,7 @@
  * exactly the bank-parallel FP16 MAC op of Section IV. This module
  * describes a decoder (`DecoderSpec`) and lowers one decode iteration
  * into two AppSpec shapes priced by the existing memoised
- * ShardServiceModel path:
+ * ShardServiceModel path (DecodeCost holds the pricing formulas):
  *
  *  - decodeFfnApp(): the weight GEMVs (QKV projection, attention
  *    output, FFN up/down) shared by every request in the batch. Their
@@ -28,8 +28,11 @@
 #define PIMSIM_LLM_DECODER_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "serve/service_model.h"
 #include "stack/workloads.h"
 
 namespace pimsim::llm {
@@ -90,6 +93,50 @@ AppSpec decodeFfnApp(const DecoderSpec &spec);
  * batch 1 — a request's cache is private.
  */
 AppSpec decodeAttnApp(const DecoderSpec &spec, unsigned ctx_bucket);
+
+/**
+ * Decode and prefill device time on the served system (all channels),
+ * priced through one service model: the engine and every calibration
+ * that mirrors it share these formulas. Context lengths are bucketed at
+ * `ctx_granule` (attention) and `prefill_granule` (prefill batch).
+ */
+class DecodeCost
+{
+  public:
+    DecodeCost(const SystemConfig &system, const DecoderSpec &spec,
+               unsigned ctx_granule, unsigned prefill_granule,
+               std::shared_ptr<serve::ServiceTimeCache> cache);
+
+    /** The batched weight GEMVs of one iteration at `batch`. */
+    double ffnNs(unsigned batch) { return model_.serviceNs(ffnId_, batch); }
+
+    /** One request's KV-cache GEMVs at context `ctx`. */
+    double attnNs(unsigned ctx) { return model_.serviceNs(attnId(ctx), 1); }
+
+    /** Staging a `ctx`-token context: the weight GEMVs batch across the
+     *  prefill bucket; the causal attention triangle averages to the
+     *  full-context shape at half that batch. */
+    double prefillNs(unsigned ctx);
+
+    /** Per-token time of a request at `ctx` in a `batch`-wide
+     *  iteration (the FFN amortised across the batch). */
+    double tokenNs(unsigned ctx, unsigned batch)
+    {
+        return ffnNs(batch) / batch + attnNs(ctx);
+    }
+
+  private:
+    /** Interned on a context bucket's first use. */
+    serve::ServiceTimeCache::AppId attnId(unsigned ctx);
+
+    DecoderSpec spec_;
+    unsigned ctxGranule_;
+    unsigned prefillGranule_;
+    serve::ShardServiceModel model_;
+    serve::ServiceTimeCache::AppId ffnId_;
+    /** Per context bucket (bucket / ctxGranule_ - 1). */
+    std::vector<serve::ServiceTimeCache::AppId> attnIds_;
+};
 
 } // namespace pimsim::llm
 

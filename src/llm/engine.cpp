@@ -96,9 +96,9 @@ LlmEngine::LlmEngine(const LlmEngineConfig &config) : config_(config)
                                            row_bytes, std::move(partitions),
                                            std::move(caps));
     batcher_ = std::make_unique<ContinuousBatcher>(config_.batcher, *kv_);
-    model_ = std::make_unique<serve::ShardServiceModel>(
-        config_.system, channels, config_.timingCache);
-    ffnApp_ = decodeFfnApp(config_.decoder);
+    cost_ = std::make_unique<DecodeCost>(
+        config_.system, config_.decoder, config_.ctxGranule,
+        config_.prefillGranule, config_.timingCache);
 
     tenants_.reserve(config_.tenants.size());
     for (const LlmTenantSpec &spec : config_.tenants)
@@ -155,7 +155,7 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
         // Optimistic estimate (zero queueing, full batch amortisation
         // unavailable): if even that misses the deadline, shed now
         // rather than burning decode iterations on a doomed request.
-        const double est = estimateNs(tenant, prompt_tokens, output_tokens);
+        const double est = estimateNs(prompt_tokens, output_tokens);
         if (arrival_ns + est > req.deadlineNs) {
             ++t.shed;
             finishRequestTrace(req, nowNs_, "shed", /*erred=*/true);
@@ -258,53 +258,24 @@ LlmEngine::takeSloObservations()
 }
 
 double
-LlmEngine::svcFfn(unsigned batch) const
-{
-    return model_->serviceNs(ffnApp_, batch);
-}
-
-double
-LlmEngine::svcAttn(unsigned ctx_bucket) const
-{
-    return model_->serviceNs(decodeAttnApp(config_.decoder, ctx_bucket), 1);
-}
-
-double
-LlmEngine::prefillNs(unsigned context_tokens) const
-{
-    const unsigned bucket = ctxBucket(context_tokens, config_.prefillGranule);
-    // Weight GEMVs batch across the whole staged context; the causal
-    // attention triangle averages to the full-context shape at half the
-    // context's batch.
-    return svcFfn(bucket) +
-           model_->serviceNs(
-               decodeAttnApp(config_.decoder,
-                             ctxBucket(context_tokens, config_.ctxGranule)),
-               std::max(1u, bucket / 2));
-}
-
-double
-LlmEngine::iterationNs(const std::vector<LlmRequest> &joined) const
+LlmEngine::iterationNs(const std::vector<LlmRequest> &joined)
 {
     double ns = 0.0;
     for (const LlmRequest &r : joined)
-        ns += prefillNs(std::max(1u, r.contextTokens()));
+        ns += cost_->prefillNs(std::max(1u, r.contextTokens()));
     // costBatch(), not runningSize(): an AdmitOnce wave keeps paying
     // for its padding slots until the longest member finishes.
-    ns += svcFfn(batcher_->costBatch());
+    ns += cost_->ffnNs(batcher_->costBatch());
     for (const LlmRequest &r : batcher_->running())
-        ns += svcAttn(ctxBucket(r.contextTokens(), config_.ctxGranule));
+        ns += cost_->attnNs(r.contextTokens());
     return ns;
 }
 
 double
-LlmEngine::estimateNs(unsigned tenant, unsigned prompt, unsigned output)
+LlmEngine::estimateNs(unsigned prompt, unsigned output)
 {
-    (void)tenant;
-    const double per_token =
-        svcFfn(1) +
-        svcAttn(ctxBucket(prompt + output, config_.ctxGranule));
-    return prefillNs(prompt) + output * per_token;
+    const double per_token = cost_->tokenNs(prompt + output, 1);
+    return cost_->prefillNs(prompt) + output * per_token;
 }
 
 void

@@ -6,7 +6,7 @@
  * clock, shaped like ServingEngine but with *iterations* as the service
  * unit instead of whole requests. Each decode iteration runs the full
  * batch one token forward; its duration is lowered through the decoder
- * model onto the memoised ShardServiceModel path:
+ * model onto the memoised ShardServiceModel path (llm::DecodeCost):
  *
  *   iter_ns = sum_joiners prefill(ctx)            — staged context
  *           + ffn(batch)                          — batched weight GEMVs
@@ -255,12 +255,9 @@ class LlmEngine
     };
 
     /** Price one iteration of the current batch starting at `now`. */
-    double iterationNs(const std::vector<LlmRequest> &joined) const;
-    double prefillNs(unsigned context_tokens) const;
-    double svcFfn(unsigned batch) const;
-    double svcAttn(unsigned ctx_bucket) const;
+    double iterationNs(const std::vector<LlmRequest> &joined);
     /** Optimistic completion estimate for deadline admission. */
-    double estimateNs(unsigned tenant, unsigned prompt, unsigned output);
+    double estimateNs(unsigned prompt, unsigned output);
 
     /** Start the next iteration if any work is runnable. */
     void dispatch();
@@ -283,8 +280,7 @@ class LlmEngine
     std::vector<std::unique_ptr<PimDriver>> kvPartitions_;
     std::unique_ptr<KvCacheManager> kv_;
     std::unique_ptr<ContinuousBatcher> batcher_;
-    mutable std::unique_ptr<serve::ShardServiceModel> model_;
-    AppSpec ffnApp_;
+    std::unique_ptr<DecodeCost> cost_;
     std::vector<TenantState> tenants_;
 
     serve::FaultModel *faults_ = nullptr;

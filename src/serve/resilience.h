@@ -10,7 +10,7 @@
  *    reported an uncorrectable EccStatus or a transient shard failure,
  *    capped by a retry budget — after the budget is spent the batch is
  *    re-dispatched on the host golden path (PimBlas's hostFallback,
- *    modelled by HostFallbackModel).
+ *    priced by a ShardServiceModel on the plain-HBM system).
  *  - CircuitBreaker: per-shard closed -> open -> half-open state machine
  *    driven by a sliding window of recent batch outcomes. A tripped
  *    shard routes its tenants to host fallback until a probe dispatch

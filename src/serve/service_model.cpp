@@ -4,10 +4,37 @@
 
 namespace pimsim::serve {
 
+ServiceTimeCache::AppId
+ServiceTimeCache::intern(const AppSpec &app)
+{
+    const auto [it, added] =
+        ids_.try_emplace(app.name, static_cast<AppId>(apps_.size()));
+    if (added) {
+        apps_.push_back(app);
+    } else {
+        PIMSIM_ASSERT(apps_[it->second].layers == app.layers, "app '",
+                      app.name,
+                      "' is already interned with different layers");
+    }
+    return it->second;
+}
+
+std::size_t
+ServiceTimeCache::tableOf(unsigned channels, MemoryKind kind)
+{
+    for (std::size_t i = 0; i < tables_.size(); ++i) {
+        if (tables_[i].channels == channels && tables_[i].kind == kind)
+            return i;
+    }
+    tables_.push_back(Table{channels, kind, {}});
+    return tables_.size() - 1;
+}
+
 ShardServiceModel::ShardServiceModel(const SystemConfig &base,
                                      unsigned channels,
                                      std::shared_ptr<ServiceTimeCache> cache)
-    : config_(base), channels_(channels), cache_(std::move(cache))
+    : config_(base), channels_(channels),
+      cache_(cache ? std::move(cache) : std::make_shared<ServiceTimeCache>())
 {
     PIMSIM_ASSERT(channels_ >= 1, "shard needs at least one channel");
     // The memo only needs latencies, which never depend on the data:
@@ -27,6 +54,7 @@ ShardServiceModel::ShardServiceModel(const SystemConfig &base,
         config_.numStacks = 1;
         config_.geometry.pchPerStack = channels_;
     }
+    table_ = cache_->tableOf(channels_, config_.kind);
 }
 
 void
@@ -41,54 +69,23 @@ ShardServiceModel::ensureRunner()
 }
 
 double
-ShardServiceModel::serviceNs(const AppSpec &app, unsigned batch)
+ShardServiceModel::serviceNs(ServiceTimeCache::AppId app, unsigned batch)
 {
     PIMSIM_ASSERT(batch >= 1, "batch must be >= 1");
-    const ServiceTimeCache::Key key{channels_, app.name, batch};
-    if (cache_) {
-        if (const double *hit = cache_->find(key))
-            return *hit;
+    PIMSIM_ASSERT(app < cache_->apps_.size(), "app id ", app,
+                  " was not interned in this model's cache");
+    auto &rows = cache_->tables_[table_].ns;
+    if (app >= rows.size())
+        rows.resize(app + 1);
+    auto &row = rows[app];
+    if (batch >= row.size())
+        row.resize(batch + 1, -1.0);
+    double &ns = row[batch];
+    if (ns < 0.0) {
+        ensureRunner();
+        ns = runner_->runApp(cache_->apps_[app], batch).ns;
+        ++cache_->measured_;
     }
-    ensureRunner();
-    const double ns = runner_->runApp(app, batch).ns;
-    if (cache_)
-        cache_->insert(key, ns);
-    return ns;
-}
-
-HostFallbackModel::HostFallbackModel(const SystemConfig &base,
-                                     std::shared_ptr<ServiceTimeCache> cache)
-    : config_(base), cache_(std::move(cache))
-{
-    // The host path never issues PIM commands; measuring on a plain-HBM
-    // system keeps the lazily-built measurement stack minimal.
-    config_.kind = MemoryKind::Hbm;
-}
-
-void
-HostFallbackModel::ensureRunner()
-{
-    if (runner_)
-        return;
-    system_ = std::make_unique<PimSystem>(config_);
-    host_ = std::make_unique<HostModel>(*system_);
-    runner_ = std::make_unique<AppRunner>(*host_, nullptr);
-}
-
-double
-HostFallbackModel::serviceNs(const AppSpec &app, unsigned batch)
-{
-    PIMSIM_ASSERT(batch >= 1, "batch must be >= 1");
-    const ServiceTimeCache::Key key{ServiceTimeCache::kHostChannels, app.name,
-                                    batch};
-    if (cache_) {
-        if (const double *hit = cache_->find(key))
-            return *hit;
-    }
-    ensureRunner();
-    const double ns = runner_->runApp(app, batch).ns;
-    if (cache_)
-        cache_->insert(key, ns);
     return ns;
 }
 

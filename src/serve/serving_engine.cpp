@@ -94,13 +94,20 @@ ServingEngine::ServingEngine(const ServeConfig &config)
     canaryDueNs_ = kNoEventNs;
     lastCanaryNs_.assign(system_->numChannels(), 0.0);
 
+    // One cache under every model, so a tenant's app id is valid on its
+    // shard's model and on the host path alike.
+    auto cache = config.timingCache ? config.timingCache
+                                    : std::make_shared<ServiceTimeCache>();
     for (unsigned s = 0; s < plan_.numShards(); ++s) {
         models_.push_back(std::make_unique<ShardServiceModel>(
-            config.system, floorPow2(plan_.shard(s).numChannels),
-            config.timingCache));
+            config.system, floorPow2(plan_.shard(s).numChannels), cache));
     }
-    hostModel_ = std::make_unique<HostFallbackModel>(config.system,
-                                                     config.timingCache);
+    // The host golden path never issues PIM commands: price it on the
+    // plain-HBM variant of the served system.
+    SystemConfig host_system = config.system;
+    host_system.kind = MemoryKind::Hbm;
+    hostModel_ = std::make_unique<ShardServiceModel>(
+        host_system, host_system.numChannels(), cache);
     servers_.resize(plan_.numShards());
     shards_.resize(plan_.numShards());
     for (auto &shard : shards_)
@@ -109,7 +116,7 @@ ServingEngine::ServingEngine(const ServeConfig &config)
     sched_ = Scheduler::make(config.sched, weights);
 
     for (const auto &spec : config.tenants) {
-        TenantState state{spec,
+        TenantState state{spec, cache->intern(spec.app),
                           Histogram(config.histBucketNs, config.histBuckets),
                           Histogram(config.histBucketNs, config.histBuckets),
                           Histogram(config.histBucketNs, config.histBuckets)};
@@ -172,14 +179,11 @@ ServingEngine::capacityPenalty(unsigned s) const
 double
 ServingEngine::svc1Ns(unsigned tenant)
 {
-    auto &state = tenants_[tenant];
-    if (state.svc1Ns < 0.0) {
-        state.svc1Ns = models_[plan_.shardOf(tenant)]->serviceNs(
-            state.spec.app, 1);
-    }
+    const unsigned s = plan_.shardOf(tenant);
     // Degraded capacity stretches the admission estimate too, so the
     // deadline gate sheds what the thinner shard cannot carry.
-    return state.svc1Ns * capacityPenalty(plan_.shardOf(tenant));
+    return models_[s]->serviceNs(tenants_[tenant].app, 1) *
+           capacityPenalty(s);
 }
 
 double
@@ -466,8 +470,8 @@ ServingEngine::startBatch(unsigned s, Batch &&batch, bool force_host)
 
     auto &state = tenants_[batch.tenant];
     const double service_ns =
-        host ? hostModel_->serviceNs(state.spec.app, batch.size())
-             : models_[s]->serviceNs(state.spec.app, batch.size()) *
+        host ? hostModel_->serviceNs(state.app, batch.size())
+             : models_[s]->serviceNs(state.app, batch.size()) *
                    capacityPenalty(s);
     sched_->onDispatched(batch, service_ns);
     for (auto &r : batch.requests) {

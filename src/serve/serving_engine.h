@@ -14,8 +14,9 @@
  * Resilience: an attached FaultModel may declare a PIM batch failed
  * (an uncorrectable fault event struck its shard mid-service). Failed
  * batches retry with exponential backoff under a RetryPolicy budget and
- * fall back to the host golden path (HostFallbackModel) once the budget
- * is spent. A per-shard CircuitBreaker watches outcome windows and
+ * fall back to the host golden path (a ShardServiceModel on the
+ * plain-HBM variant of the system) once the budget is spent. A
+ * per-shard CircuitBreaker watches outcome windows and
  * routes a persistently faulting shard's tenants to host fallback until
  * a half-open probe succeeds. Tenants may carry deadlines: requests
  * that cannot meet them are shed at admission, requests that outlive
@@ -310,6 +311,7 @@ class ServingEngine
     struct TenantState
     {
         TenantSpec spec;
+        ServiceTimeCache::AppId app;
         Histogram queueH;
         Histogram serviceH;
         Histogram e2eH;
@@ -323,8 +325,6 @@ class ServingEngine
         std::uint64_t sloViolations = 0;
         std::uint64_t silentlyWrong = 0;
         double servedNs = 0.0;
-        /** Memoised batch-1 PIM service time (admission estimate). */
-        double svc1Ns = -1.0;
     };
 
     struct Server
@@ -370,7 +370,7 @@ class ServingEngine
     void finishBatch(unsigned shard);
     /** Index into shards_[s].retries of the due retry to run (or -1). */
     int dueRetryIndex(unsigned s) const;
-    /** Batch-1 PIM service time of a tenant, memoised. */
+    /** Batch-1 PIM service time of a tenant (admission estimate). */
     double svc1Ns(unsigned tenant);
     /** Admission estimate of shard `s` work ahead of a new arrival. */
     double backlogNs(unsigned s);
@@ -399,7 +399,7 @@ class ServingEngine
     ShardPlan plan_;
     std::vector<std::unique_ptr<PimDriver>> drivers_; ///< per tenant
     std::vector<std::unique_ptr<ShardServiceModel>> models_; ///< per shard
-    std::unique_ptr<HostFallbackModel> hostModel_;
+    std::unique_ptr<ShardServiceModel> hostModel_; ///< host golden path
     std::vector<Server> servers_;     ///< per shard
     std::vector<ShardState> shards_;  ///< per shard
     RequestQueue queue_;

@@ -71,6 +71,8 @@ struct LayerSpec
     std::uint64_t elements = 0;
     /** True if the paper's system accelerates this layer on PIM. */
     bool pimEligible = true;
+
+    bool operator==(const LayerSpec &) const = default;
 };
 
 /** An application: ordered layers plus bookkeeping. */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -96,6 +97,46 @@ TEST(Decoder, AttnAppShapeGrowsWithContext)
     // Longer context must cost more through the real service model.
     serve::ShardServiceModel model(smallSystem(), 16, nullptr);
     EXPECT_GT(model.serviceNs(a256, 1), model.serviceNs(a128, 1));
+}
+
+TEST(DecodeCost, MatchesTheComposedServiceTimesBitForBit)
+{
+    const LlmEngineConfig cfg = smallConfig();
+    DecodeCost cost(cfg.system, cfg.decoder, cfg.ctxGranule,
+                    cfg.prefillGranule, cfg.timingCache);
+    // The reference composes the app-level times on its own cache.
+    serve::ShardServiceModel model(cfg.system, cfg.system.numChannels(),
+                                   nullptr);
+    const AppSpec ffn = decodeFfnApp(cfg.decoder);
+    for (const unsigned ctx : {1u, 100u, 300u}) {
+        const AppSpec attn =
+            decodeAttnApp(cfg.decoder, ctxBucket(ctx, cfg.ctxGranule));
+        const unsigned bucket = ctxBucket(ctx, cfg.prefillGranule);
+        EXPECT_EQ(cost.prefillNs(ctx),
+                  model.serviceNs(ffn, bucket) +
+                      model.serviceNs(attn, std::max(1u, bucket / 2)));
+        EXPECT_EQ(cost.attnNs(ctx), model.serviceNs(attn, 1));
+        EXPECT_EQ(cost.tokenNs(ctx, 1),
+                  model.serviceNs(ffn, 1) + model.serviceNs(attn, 1));
+        EXPECT_EQ(cost.tokenNs(ctx, 4),
+                  model.serviceNs(ffn, 4) / 4 + model.serviceNs(attn, 1));
+    }
+}
+
+TEST(DecodeCost, RepricingAContextAddsNoCacheEntry)
+{
+    const LlmEngineConfig cfg = smallConfig();
+    DecodeCost cost(cfg.system, cfg.decoder, cfg.ctxGranule,
+                    cfg.prefillGranule, cfg.timingCache);
+    const double prefill = cost.prefillNs(200);
+    const double token = cost.tokenNs(200, 4);
+    const std::size_t entries = cfg.timingCache->size();
+    EXPECT_GT(entries, 0u);
+    EXPECT_EQ(cost.prefillNs(200), prefill);
+    EXPECT_EQ(cost.tokenNs(200, 4), token);
+    // 150 shares 200's context bucket.
+    EXPECT_EQ(cost.tokenNs(150, 4), token);
+    EXPECT_EQ(cfg.timingCache->size(), entries);
 }
 
 // ------------------------------------------------------------------
@@ -406,6 +447,13 @@ TEST(LlmEngine, CompletesAndReconciles)
     ASSERT_EQ(done.size(), 2u);
     EXPECT_GT(done[0].firstTokenNs, 0.0);
     EXPECT_GE(done[0].completeNs, done[0].firstTokenNs);
+}
+
+TEST(LlmEngine, ConstructionMeasuresNothing)
+{
+    const LlmEngineConfig cfg = smallConfig();
+    LlmEngine engine(cfg);
+    EXPECT_EQ(cfg.timingCache->size(), 0u);
 }
 
 TEST(LlmEngine, RejectsInfeasibleRequests)

@@ -9,8 +9,10 @@
 #include "serve/load_gen.h"
 #include "serve/request_queue.h"
 #include "serve/scheduler.h"
+#include "serve/service_model.h"
 #include "serve/serving_engine.h"
 #include "serve/shard.h"
+#include "stack/workloads.h"
 
 namespace pimsim::serve {
 namespace {
@@ -474,6 +476,77 @@ TEST(ShardServiceModel, WholeStackMultiplesRebuildTheStackSplit)
     // 32 channels on 16-pch stacks: exactly two stacks, nothing dropped.
     ShardServiceModel model(smallSystem(), 32, nullptr);
     EXPECT_GT(model.serviceNs(tinyApp("tiny-32"), 1), 0.0);
+}
+
+TEST(ServiceTimeCacheDeathTest, NameReusedForOtherLayersAsserts)
+{
+    // Two shapes under one name would share one memo entry, and the
+    // second caller would silently be charged the first app's time.
+    auto cache = std::make_shared<ServiceTimeCache>();
+    ShardServiceModel model(smallSystem(), 16, cache);
+    EXPECT_GT(model.serviceNs(tinyApp("dup", 256), 1), 0.0);
+    EXPECT_DEATH(model.serviceNs(tinyApp("dup", 512), 1),
+                 "already interned with different layers");
+}
+
+TEST(ServiceTimeCache, InterningMeasuresNothingAndIdsAreCacheWide)
+{
+    auto cache = std::make_shared<ServiceTimeCache>();
+    SystemConfig hbm = smallSystem();
+    hbm.kind = MemoryKind::Hbm;
+    ShardServiceModel pim(smallSystem(), 16, cache);
+    ShardServiceModel host(hbm, 16, cache);
+
+    const auto id = pim.intern(tinyApp("tiny-a"));
+    EXPECT_EQ(host.intern(tinyApp("tiny-a")), id);
+    EXPECT_EQ(cache->intern(tinyApp("tiny-a")), id);
+    EXPECT_NE(cache->intern(tinyApp("tiny-b")), id);
+    EXPECT_EQ(cache->size(), 0u);
+
+    EXPECT_EQ(pim.serviceNs(id, 2), pim.serviceNs(tinyApp("tiny-a"), 2));
+    EXPECT_EQ(cache->size(), 1u);
+}
+
+TEST(ServiceTimeCache, PimAndHostModelsSharingACacheNeverAlias)
+{
+    // Same app, same batch, same channel count: only the memory kind
+    // tells the PIM shard's entry from the host path's.
+    SystemConfig hbm = smallSystem();
+    hbm.kind = MemoryKind::Hbm;
+    const AppSpec app = tinyApp("tiny-a");
+    auto cache = std::make_shared<ServiceTimeCache>();
+    ShardServiceModel pim(smallSystem(), 16, cache);
+    ShardServiceModel host(hbm, 16, cache);
+
+    const double host_ns = host.serviceNs(app, 1);
+    const double pim_ns = pim.serviceNs(app, 1);
+    EXPECT_EQ(cache->size(), 2u);
+    EXPECT_NE(pim_ns, host_ns);
+    EXPECT_EQ(pim_ns,
+              ShardServiceModel(smallSystem(), 16, nullptr).serviceNs(app, 1));
+    EXPECT_EQ(host_ns, ShardServiceModel(hbm, 16, nullptr).serviceNs(app, 1));
+}
+
+TEST(ShardServiceModel, HbmVariantMatchesTheHostOnlyRunner)
+{
+    // The host golden path: a model on the plain-HBM variant must time
+    // an app exactly as an AppRunner without PIM BLAS on a fresh HBM
+    // system. Host stream timings depend on the clock at which a stream
+    // shape is first simulated, so the reference replays the model's
+    // measurement order on one system.
+    SystemConfig hbm = smallSystem();
+    hbm.kind = MemoryKind::Hbm;
+    ShardServiceModel model(hbm, hbm.numChannels(), nullptr);
+    PimSystem system(hbm);
+    HostModel host(system);
+    AppRunner runner(host, nullptr);
+    for (const AppSpec &app : {gnmtApp(), ds2App()}) {
+        for (const unsigned batch : {1u, 2u, 4u, 8u}) {
+            EXPECT_EQ(model.serviceNs(app, batch),
+                      runner.runApp(app, batch).ns)
+                << app.name << " batch " << batch;
+        }
+    }
 }
 
 TEST(ServingEngine, BatchingBeatsFcfsThroughputUnderSaturation)
