@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Check that the serving benches still reproduce their committed JSON.
+"""Check that the committed benches still reproduce their JSON.
 
 Runs bench_serving, bench_llm_serving, bench_cluster,
-bench_chaos_serving and bench_sdc with default flags, each writing its
-JSON to a temporary file, and compares every body with the committed
-BENCH_serving.json, BENCH_llm.json, BENCH_cluster.json, BENCH_chaos.json
-and BENCH_sdc.json. The last two drive the host-fallback path (tripped
-breakers, spent retry budgets, quarantined shards). Only `self` (the
-wall-clock ledger) and `generated_at` may differ: they describe the
-run, not the simulation.
+bench_chaos_serving, bench_sdc and bench_fig10_performance with default
+flags, each writing its JSON to a temporary file, and compares every
+body with the committed BENCH_serving.json, BENCH_llm.json,
+BENCH_cluster.json, BENCH_chaos.json, BENCH_sdc.json and
+BENCH_fig10.json. bench_chaos_serving and bench_sdc drive the
+host-fallback path (tripped breakers, spent retry budgets, quarantined
+shards); bench_fig10_performance drives the host FR-FCFS scheduler
+hardest (its plain-HBM baselines). Only `self` (the wall-clock ledger)
+and `generated_at` may differ: they describe the run, not the
+simulation.
 
     python3 scripts/check_bench_identity.py [--build-dir build]
 
@@ -28,7 +31,8 @@ BENCHES = [("bench_serving", "BENCH_serving.json"),
            ("bench_llm_serving", "BENCH_llm.json"),
            ("bench_cluster", "BENCH_cluster.json"),
            ("bench_chaos_serving", "BENCH_chaos.json"),
-           ("bench_sdc", "BENCH_sdc.json")]
+           ("bench_sdc", "BENCH_sdc.json"),
+           ("bench_fig10_performance", "BENCH_fig10.json")]
 RUN_KEYS = ("self", "generated_at")
 MAX_REPORTED = 10
 

@@ -14,9 +14,8 @@
 #define PIMSIM_MEM_CONTROLLER_H
 
 #include <array>
-#include <deque>
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/stats.h"
@@ -30,18 +29,17 @@ namespace pimsim {
 /** Scheduler and queue configuration. */
 struct ControllerConfig
 {
-    /** Request queue capacity. */
+    /** Request queue capacity (>= 1). */
     unsigned queueDepth = 96;
-    /** FR-FCFS candidate window for unordered (host) requests. */
+    /** FR-FCFS candidate window for unordered (host) requests (>= 1);
+     *  also the window row preparation looks at. */
     unsigned reorderWindow = 48;
-    /** Reorder window for ordered (PIM) requests; 1 = strict in-order.
-     *  The default 8 models FR-FCFS reordering that AAM tolerates within
-     *  one GRF window (Section IV-C). */
+    /** Reorder window for ordered (PIM) requests (>= 1); 1 = strict
+     *  in-order. The default 8 models FR-FCFS reordering that AAM
+     *  tolerates within one GRF window (Section IV-C). */
     unsigned orderedWindow = 8;
     /** Enable periodic all-bank refresh. */
     bool refreshEnabled = true;
-    /** Close a row after this many idle cycles (0 = leave open). */
-    unsigned rowIdleTimeout = 0;
     /** Enable the background ECC scrubber (patrol scrub). */
     bool scrubEnabled = false;
     /** Cycles between scrub steps. */
@@ -52,6 +50,16 @@ struct ControllerConfig
 
 /**
  * One pseudo channel's controller, device, and (optionally) PIM logic.
+ *
+ * The scheduler keeps its inputs incrementally, so a tick costs O(banks)
+ * instead of a rescan of the reorder window (DESIGN.md section 4).
+ * Queued requests live in a slot array threaded by age, by orderedness
+ * and (reads and writes) by bank. Each bank caches its oldest unblocked
+ * row hit per column direction, its oldest request at the open row and
+ * its oldest unordered request. These change only on enqueue, on
+ * removal and when one of this controller's own row commands changes a
+ * bank, and the pick is recomputed only after one of those events. So
+ * every command to the channel must go through this controller.
  */
 class MemoryController
 {
@@ -69,7 +77,7 @@ class MemoryController
     MemoryController &operator=(const MemoryController &) = delete;
 
     /** True if another request can be accepted. */
-    bool canEnqueue() const { return queue_.size() < config_.queueDepth; }
+    bool canEnqueue() const { return queued_ < config_.queueDepth; }
 
     /** Enqueue a request; the caller must have checked canEnqueue(). */
     void enqueue(const MemRequest &request);
@@ -91,7 +99,7 @@ class MemoryController
      */
     bool idle(Cycle now) const
     {
-        if (!queue_.empty())
+        if (queued_ != 0)
             return false;
         for (const auto &r : pendingResponses_) {
             if (r.completion > now)
@@ -101,8 +109,10 @@ class MemoryController
     }
 
     /** Number of requests waiting in the queue. */
-    std::size_t queuedRequests() const { return queue_.size(); }
+    std::size_t queuedRequests() const { return queued_; }
 
+    /** The device. Inspect it, but issue commands only through this
+     *  controller: its bank caches follow its own issues alone. */
     PseudoChannel &channel() { return *channel_; }
     const PseudoChannel &channel() const { return *channel_; }
 
@@ -115,8 +125,8 @@ class MemoryController
 
     const ControllerConfig &config() const { return config_; }
 
-    /** Override the ordered-request reorder window (fence study). */
-    void setOrderedWindow(unsigned window) { config_.orderedWindow = window; }
+    /** Override the ordered-request reorder window (>= 1; fence study). */
+    void setOrderedWindow(unsigned window);
 
     /**
      * Attach the system error log. Installs a DataStore hook so every
@@ -146,28 +156,92 @@ class MemoryController
     void setScrubEnabled(bool enabled) { config_.scrubEnabled = enabled; }
 
   private:
+    /** Slot index into slots_; kNil ends a list. */
+    static constexpr unsigned kNil = ~0u;
+    /** Bank-state arrays are inline (constructing allocates nothing). */
+    static constexpr unsigned kMaxBanks = 16;
+
+    /** Membership of one slot in one doubly-linked, oldest-first list. */
+    struct Links
+    {
+        unsigned prev = kNil;
+        unsigned next = kNil;
+    };
+
     struct Queued
     {
         MemRequest request;
-        Cycle arrival;
+        /** Arrival stamp: lower is older. */
+        std::uint64_t seq = 0;
         /** Set when the request needed a PRE/ACT (row-buffer miss). */
         bool rowMissed = false;
+        /** A read/write queued behind an older read/write of the same
+         *  burst (full DramCoord): it may not be picked as a row hit. */
+        bool blocked = false;
+        Links age;  ///< every queued request (the free list when unused)
+        Links kind; ///< requests of the same orderedness
+        Links bank; ///< reads and writes of the same bank
+    };
+
+    /** An oldest-first list threaded through one Links member. */
+    struct List
+    {
+        unsigned head = kNil;
+        unsigned tail = kNil;
+
+        void pushBack(std::vector<Queued> &slots, Links Queued::*links,
+                      unsigned slot);
+        void unlink(std::vector<Queued> &slots, Links Queued::*links,
+                    unsigned slot);
+    };
+
+    /** The reads and writes of one bank and what the scheduler needs
+     *  from them, kept current for the bank's open row. */
+    struct BankQueue
+    {
+        List list;
+        /** Oldest unblocked row hit per direction ([0] RD, [1] WR). */
+        std::array<unsigned, 2> hit{kNil, kNil};
+        /** Oldest request at the open row (the row is still wanted). */
+        unsigned rowUser = kNil;
+        /** Oldest unordered request (row-preparation candidate). */
+        unsigned firstHost = kNil;
+        /** The bank state the fields above describe. */
+        bool open = false;
+        unsigned openRow = 0;
     };
 
     /** The command a queued request needs next, given bank state. */
     Command nextCommandFor(const Queued &entry) const;
 
-    /** True if the request's target row is open (column command ready). */
-    bool isRowHit(const Queued &entry) const;
-
-    /** Pick the queue index to serve next (FR-FCFS). */
-    std::optional<std::size_t> pickCandidate() const;
+    /** Pick the slot to serve next (FR-FCFS); kNil when empty. */
+    unsigned pickCandidate() const;
 
     Cycle refreshTick(Cycle now);
     /** Opportunistic PRE/ACT for a pending row-miss (host requests). */
-    Cycle rowPrepTick(Cycle now, std::size_t chosen);
+    Cycle rowPrepTick(Cycle now, unsigned chosen);
     void completeRequest(const Queued &entry, const IssueResult &result,
                          Cycle now);
+
+    /** Issue on the channel and bring the bank caches up to date. */
+    IssueResult issue(const Command &cmd, Cycle now);
+    /** Remove a queued request and return its slot to the free list. */
+    void remove(unsigned slot);
+    /** Re-derive the row-dependent fields of every bank whose open row
+     *  differs from what its BankQueue describes. */
+    void syncBanks();
+    /** Fill the BankQueue fields named by `want` (a kWant* mask) from
+     *  the first matching requests at or after slot `from`. */
+    void refill(BankQueue &q, unsigned from, unsigned want);
+    /** burstCount_ bucket of a burst address. */
+    unsigned burstBucket(const DramCoord &c) const;
+    /** The slot `size` places behind the oldest request. */
+    unsigned slotAt(unsigned size) const;
+
+    std::uint64_t seqOf(unsigned slot) const
+    {
+        return slot == kNil ? UINT64_MAX : slots_[slot].seq;
+    }
 
     HbmGeometry geom_;
     HbmTiming timing_;
@@ -175,7 +249,28 @@ class MemoryController
     std::unique_ptr<PseudoChannel> channel_;
     std::unique_ptr<PimChannel> pimChannel_;
 
-    std::deque<Queued> queue_;
+    /** queueDepth slots, allocated by the first enqueue. */
+    std::vector<Queued> slots_;
+    /** Queued reads/writes per burst-address hash bucket (allocated with
+     *  slots_): a zero count rules out a same-burst conflict without
+     *  walking the bank's list. */
+    std::vector<std::uint16_t> burstCount_;
+    unsigned burstShift_ = 0;
+    unsigned freeSlot_ = kNil;
+    unsigned queued_ = 0;
+    std::uint64_t nextSeq_ = 0;
+    List age_;
+    /** Requests by orderedness: [0] unordered, [1] ordered. */
+    std::array<List, 2> kinds_;
+    std::array<BankQueue, kMaxBanks> banks_;
+    /** The first slot past the oldest orderedWindow / reorderWindow
+     *  requests (kNil while no more are queued). */
+    unsigned orderedEdge_ = kNil;
+    unsigned reorderEdge_ = kNil;
+    /** The cached pick; recomputed only when pickStale_. */
+    unsigned pick_ = kNil;
+    bool pickStale_ = true;
+
     std::vector<MemResponse> pendingResponses_;
 
     Cycle nextRefresh_;

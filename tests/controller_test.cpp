@@ -1,8 +1,8 @@
 /**
  * @file
  * Memory controller tests: data integrity through the full command path,
- * FR-FCFS row-hit prioritisation, ordered-window semantics, refresh, and
- * the LLC model.
+ * FR-FCFS row-hit prioritisation, ordered-window semantics, refresh,
+ * config validation, and the LLC model.
  */
 
 #include <map>
@@ -259,6 +259,33 @@ TEST(Controller, QueueBackpressure)
 }
 
 // ---------- LLC ----------
+
+TEST(ControllerDeathTest, RejectsZeroQueueDepthAndWindows)
+{
+    const HbmGeometry geom;
+    const HbmTiming timing;
+    auto make = [&](const ControllerConfig &config) {
+        MemoryController ctrl(geom, timing, config, false, PimConfig{});
+    };
+    ControllerConfig config;
+    config.queueDepth = 0;
+    EXPECT_DEATH(make(config), "must be >= 1");
+    config = ControllerConfig{};
+    config.reorderWindow = 0;
+    EXPECT_DEATH(make(config), "must be >= 1");
+    config = ControllerConfig{};
+    config.orderedWindow = 0;
+    EXPECT_DEATH(make(config), "must be >= 1");
+    config = ControllerConfig{};
+    config.queueDepth = 70000;
+    EXPECT_DEATH(make(config), "queueDepth above");
+
+    MemoryController ctrl(geom, timing, ControllerConfig{}, false,
+                          PimConfig{});
+    EXPECT_DEATH(ctrl.setOrderedWindow(0), "orderedWindow must be >= 1");
+    ctrl.setOrderedWindow(1);
+    EXPECT_EQ(ctrl.config().orderedWindow, 1u);
+}
 
 TEST(Llc, HitsAfterFirstTouch)
 {
