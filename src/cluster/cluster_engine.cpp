@@ -10,15 +10,19 @@
 
 namespace pimsim::cluster {
 
+namespace {
+
+/** Latency histogram shape: 1 us buckets up to ~16 ms. */
+constexpr std::uint64_t kHistBucketNs = 1'000;
+constexpr std::size_t kHistBuckets = 16'384;
+
+} // namespace
+
 void
 ClusterReport::reconcile() const
 {
-    const std::uint64_t terminal =
-        completed + shed + rejected + timedOut + failed;
-    PIMSIM_ASSERT(terminal == submitted, "cluster accounting leak: ",
-                  completed, " completed + ", shed, " shed + ", rejected,
-                  " rejected + ", timedOut, " timed out + ", failed,
-                  " failed != ", submitted, " submitted");
+    serve::assertBalanced("cluster", {submitted, completed, shed, timedOut,
+                                      rejected, failed});
 }
 
 std::string
@@ -78,8 +82,8 @@ ClusterReport::toJson() const
 ClusterEngine::ClusterEngine(const ClusterConfig &config)
     : config_(config),
       router_(config.router, config.numHosts),
-      attemptH_(config.histBucketNs, config.histBuckets),
-      e2eH_(config.histBucketNs, config.histBuckets)
+      ledger_({"cluster"}, {"e2eNs"}, kHistBucketNs, kHistBuckets),
+      attemptH_(kHistBucketNs, kHistBuckets)
 {
     PIMSIM_ASSERT(config.numHosts >= 1, "a cluster needs >= 1 host");
     PIMSIM_ASSERT(config.maxAttempts >= 1, "need >= 1 dispatch attempt");
@@ -170,7 +174,7 @@ ClusterEngine::submit(double arrival_ns)
 {
     PIMSIM_ASSERT(arrival_ns >= nowNs_, "arrival in the past");
     advanceTo(arrival_ns);
-    ++submitted_;
+    ledger_.submit(0);
     const std::uint64_t id = nextId_++;
     const double deadline =
         config_.deadlineNs > 0.0 ? arrival_ns + config_.deadlineNs : 0.0;
@@ -180,18 +184,16 @@ ClusterEngine::submit(double arrival_ns)
         q.trace = reqTracer_->begin(arrival_ns);
 
     if (queue_.size() >= config_.queueDepth) {
-        ++rejected_;
-        finishRequestTrace(q.trace, arrival_ns, deadline, nowNs_,
-                           "rejected", /*erred=*/true, false, false);
+        close(q.trace, arrival_ns, deadline, serve::Terminal::Rejected,
+              "rejected", false, false);
         return false;
     }
     if (config_.admission && deadline > 0.0) {
         const double eta =
             nowNs_ + backlogEstimateNs() + attemptEstimateNs_;
         if (eta > deadline) {
-            ++shed_;
-            finishRequestTrace(q.trace, arrival_ns, deadline, nowNs_,
-                               "shed", /*erred=*/true, false, false);
+            close(q.trace, arrival_ns, deadline, serve::Terminal::Shed,
+                  "shed", false, false);
             return false;
         }
     }
@@ -233,7 +235,7 @@ ClusterEngine::drain()
             }
         }
     }
-    report().reconcile();
+    ledger_.assertDrained();
 }
 
 double
@@ -309,15 +311,11 @@ ClusterEngine::expireQueue()
     const auto expired = [this](const Queued &q) {
         return q.deadlineNs > 0.0 && q.deadlineNs <= nowNs_;
     };
-    const auto n = std::count_if(queue_.begin(), queue_.end(), expired);
-    if (n == 0)
-        return;
-    timedOut_ += static_cast<std::uint64_t>(n);
     for (const Queued &q : queue_) {
         if (expired(q)) {
-            finishRequestTrace(q.trace, q.arrivalNs, q.deadlineNs, nowNs_,
-                               "queue-timeout", /*erred=*/true,
-                               /*hedged=*/false, q.attempts > 1);
+            close(q.trace, q.arrivalNs, q.deadlineNs,
+                  serve::Terminal::TimedOut, "queue-timeout",
+                  /*hedged=*/false, q.attempts > 1);
         }
     }
     queue_.erase(std::remove_if(queue_.begin(), queue_.end(), expired),
@@ -484,10 +482,8 @@ ClusterEngine::finishCopy(Active &a, Copy &c, bool is_hedge)
         return;
     }
 
-    ++failed_;
-    finishRequestTrace(a.trace, a.arrivalNs, a.deadlineNs, nowNs_,
-                       "attempts-exhausted", /*erred=*/true,
-                       a.hedgeFired, a.attempts > 1);
+    close(a.trace, a.arrivalNs, a.deadlineNs, serve::Terminal::Failed,
+          "attempts-exhausted", a.hedgeFired, a.attempts > 1);
     active_.erase(a.id);
 }
 
@@ -512,17 +508,15 @@ ClusterEngine::completeRequest(Active &a, const Copy &winner,
     if (hedge_won)
         ++hedgeWins_;
 
-    ++completed_;
     const double lat = nowNs_ - a.arrivalNs;
-    e2eH_.sample(static_cast<std::uint64_t>(lat), a.trace.traceId);
+    ledger_.sample(0, 0, static_cast<std::uint64_t>(lat), a.trace.traceId);
     if (a.deadlineNs > 0.0 && nowNs_ > a.deadlineNs)
         ++sloViolations_;
     completions_.push_back(ClusterCompletion{
         a.id, a.arrivalNs, nowNs_, a.deadlineNs, winner.host,
         std::max(a.attempts, 1u), hedge_won});
-    finishRequestTrace(a.trace, a.arrivalNs, a.deadlineNs, nowNs_,
-                       /*terminal=*/nullptr, /*erred=*/false,
-                       a.hedgeFired, a.attempts > 1);
+    close(a.trace, a.arrivalNs, a.deadlineNs, serve::Terminal::Completed,
+          /*instant=*/nullptr, a.hedgeFired, a.attempts > 1);
 }
 
 void
@@ -629,55 +623,29 @@ ClusterEngine::dispatchAll()
 }
 
 void
-ClusterEngine::finishRequestTrace(const RequestTraceContext &ctx,
-                                  double arrival_ns, double deadline_ns,
-                                  double end_ns, const char *terminal,
-                                  bool erred, bool hedged,
-                                  bool failed_over)
+ClusterEngine::close(const RequestTraceContext &ctx, double arrival_ns,
+                     double deadline_ns, serve::Terminal end,
+                     const char *instant, bool hedged, bool failed_over)
 {
-    const bool missed =
-        !erred && deadline_ns > 0.0 && end_ns > deadline_ns;
-    sloObs_.push_back(SloObservation{end_ns, !erred && !missed});
-    if (reqTracer_ == nullptr || !ctx.active())
-        return;
-    if (terminal != nullptr) {
-        reqTracer_->instant(ctx, kTracePidCluster, requestTid(),
-                            terminal, "terminal", end_ns);
-    }
-    reqTracer_->span(ctx, kTracePidCluster, requestTid(), "request",
-                    "request", arrival_ns, end_ns - arrival_ns);
-    TraceOutcome outcome;
-    outcome.latencyNs = end_ns - arrival_ns;
-    outcome.erred = erred;
-    outcome.deadlineMissed = missed;
-    outcome.hedged = hedged;
-    outcome.failedOver = failed_over;
-    reqTracer_->end(ctx, outcome);
-}
-
-std::vector<SloObservation>
-ClusterEngine::takeSloObservations()
-{
-    return std::exchange(sloObs_, {});
-}
-
-std::vector<ClusterCompletion>
-ClusterEngine::takeCompletions()
-{
-    return std::exchange(completions_, {});
+    ledger_.close({.terminal = end, .arrivalNs = arrival_ns,
+                   .deadlineNs = deadline_ns, .endNs = nowNs_, .trace = ctx,
+                   .pid = kTracePidCluster, .tid = requestTid(),
+                   .instant = instant, .hedged = hedged,
+                   .failedOver = failed_over});
 }
 
 ClusterReport
 ClusterEngine::report() const
 {
     ClusterReport r;
+    const serve::TerminalCounts &c = ledger_.counts(0);
     r.horizonNs = nowNs_;
-    r.submitted = submitted_;
-    r.completed = completed_;
-    r.rejected = rejected_;
-    r.shed = shed_;
-    r.timedOut = timedOut_;
-    r.failed = failed_;
+    r.submitted = c.submitted;
+    r.completed = c.completed;
+    r.rejected = c.rejected;
+    r.shed = c.shed;
+    r.timedOut = c.timedOut;
+    r.failed = c.failed;
     r.sloViolations = sloViolations_;
     r.retries = retries_;
     r.hedgesFired = hedgesFired_;
@@ -686,16 +654,12 @@ ClusterEngine::report() const
     r.healthTransitions = router_.totalTransitions();
     if (nowNs_ > 0.0) {
         r.throughputRps =
-            static_cast<double>(completed_) * 1e9 / nowNs_;
+            static_cast<double>(c.completed) * 1e9 / nowNs_;
         r.goodputRps =
-            static_cast<double>(completed_ - sloViolations_) * 1e9 /
+            static_cast<double>(c.completed - sloViolations_) * 1e9 /
             nowNs_;
     }
-    r.e2e.meanNs = e2eH_.mean();
-    r.e2e.p50Ns = e2eH_.p50();
-    r.e2e.p95Ns = e2eH_.p95();
-    r.e2e.p99Ns = e2eH_.p99();
-    r.e2e.maxNs = static_cast<double>(e2eH_.max());
+    r.e2e = ledger_.summary(0, 0);
     r.hosts.reserve(hosts_.size());
     for (unsigned h = 0; h < numHosts(); ++h) {
         HostReport hr;

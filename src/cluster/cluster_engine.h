@@ -43,6 +43,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/host.h"
@@ -51,9 +52,9 @@
 #include "common/reqtrace.h"
 #include "common/slo.h"
 #include "common/stats.h"
+#include "serve/request_ledger.h"
 #include "serve/resilience.h"
 #include "serve/service_model.h"
-#include "serve/serving_engine.h" // LatencySummary
 #include "sim/system_config.h"
 #include "stack/workloads.h"
 
@@ -103,9 +104,6 @@ struct ClusterConfig
     HedgeConfig hedge;
     /** Shed arrivals whose deadline the surviving capacity cannot meet. */
     bool admission = true;
-    /** Attempt-latency histogram shape (hedge delay + report tails). */
-    std::uint64_t histBucketNs = 1'000;
-    std::size_t histBuckets = 16'384;
     /** Optional cross-engine service-time memo (benchmark sweeps). */
     std::shared_ptr<serve::ServiceTimeCache> cache;
 };
@@ -203,7 +201,7 @@ class ClusterEngine
     /** Successful attempt latencies (drives the hedge-delay p95). */
     const Histogram &attemptHistogram() const { return attemptH_; }
     /** Request end-to-end latencies, completions only. */
-    const Histogram &e2eHistogram() const { return e2eH_; }
+    const Histogram &e2eHistogram() const { return ledger_.histogram(0, 0); }
 
     /**
      * Attach the host-level fault source (nullptr detaches). Queried at
@@ -222,7 +220,11 @@ class ClusterEngine
      * cross-host flow edges, and its terminal state are buffered as a
      * span tree and tail-sampled at the tracer. Not owned.
      */
-    void setRequestTracer(RequestTracer *tracer) { reqTracer_ = tracer; }
+    void setRequestTracer(RequestTracer *tracer)
+    {
+        reqTracer_ = tracer;
+        ledger_.setTracer(tracer);
+    }
 
     /**
      * Per-request terminal observations (timestamp + met-its-SLO)
@@ -230,7 +232,10 @@ class ClusterEngine
      * rejections, timeouts, failures and late completions are bad;
      * in-deadline completions are good.
      */
-    std::vector<SloObservation> takeSloObservations();
+    std::vector<SloObservation> takeSloObservations()
+    {
+        return ledger_.takeSloObservations();
+    }
 
     /**
      * Submit one request arriving at `arrival_ns` (>= the engine clock).
@@ -250,7 +255,10 @@ class ClusterEngine
     double nowNs() const { return nowNs_; }
 
     /** Completions since the last call (windowed bench analysis). */
-    std::vector<ClusterCompletion> takeCompletions();
+    std::vector<ClusterCompletion> takeCompletions()
+    {
+        return std::exchange(completions_, {});
+    }
 
     /** Aggregate outcome over everything served so far. */
     ClusterReport report() const;
@@ -307,12 +315,11 @@ class ClusterEngine
     void noteHealth(unsigned host_id);
     /** The per-request track on the cluster pid ("router" timeline). */
     int requestTid() const { return static_cast<int>(numHosts()); }
-    /** Close a request's trace (root span + outcome) and record its
-     *  SLO observation. `terminal` names non-completed ends. */
-    void finishRequestTrace(const RequestTraceContext &ctx,
-                            double arrival_ns, double deadline_ns,
-                            double end_ns, const char *terminal,
-                            bool erred, bool hedged, bool failed_over);
+    /** End a request now in the ledger, on the router track.
+     *  `instant` names non-completed ends. */
+    void close(const RequestTraceContext &ctx, double arrival_ns,
+               double deadline_ns, serve::Terminal end, const char *instant,
+               bool hedged, bool failed_over);
     double backlogEstimateNs() const;
     std::uint64_t transferId(const Active &a, bool is_hedge) const;
 
@@ -324,8 +331,9 @@ class ClusterEngine
     std::deque<Queued> queue_;
     std::map<std::uint64_t, Active> active_;
 
+    /** One tenant ("cluster") with one metric: end-to-end latency. */
+    serve::RequestLedger ledger_;
     Histogram attemptH_; ///< successful attempt latencies (hedge p95)
-    Histogram e2eH_;     ///< request end-to-end latencies
     mutable double cachedHedgeDelayNs_ = 0.0;
     mutable std::uint64_t hedgeDelaySamples_ = 0;
 
@@ -334,13 +342,6 @@ class ClusterEngine
     double attemptEstimateNs_ = 0.0;
     double timeoutNs_ = 0.0;
 
-    // Terminal-state accounting.
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t shed_ = 0;
-    std::uint64_t timedOut_ = 0;
-    std::uint64_t failed_ = 0;
     std::uint64_t sloViolations_ = 0;
     std::uint64_t retries_ = 0;
     std::uint64_t hedgesFired_ = 0;
@@ -349,7 +350,6 @@ class ClusterEngine
     std::vector<std::uint64_t> hostFailures_;
 
     std::vector<ClusterCompletion> completions_;
-    std::vector<SloObservation> sloObs_;
 
     RequestTracer *reqTracer_ = nullptr;
     TraceSession *trace_ = nullptr;

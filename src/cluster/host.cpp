@@ -27,35 +27,10 @@ int
 HostModel::freeStack() const
 {
     for (unsigned s = 0; s < stacks_.size(); ++s) {
-        if (!stacks_[s].busy && !stacks_[s].quarantined)
+        if (!stacks_[s].busy)
             return static_cast<int>(s);
     }
     return -1;
-}
-
-void
-HostModel::quarantineStack(unsigned stack)
-{
-    PIMSIM_ASSERT(stack < stacks_.size(), "bad stack id ", stack);
-    stacks_[stack].quarantined = true;
-}
-
-void
-HostModel::restoreStack(unsigned stack)
-{
-    PIMSIM_ASSERT(stack < stacks_.size(), "bad stack id ", stack);
-    stacks_[stack].quarantined = false;
-}
-
-unsigned
-HostModel::activeStacks() const
-{
-    unsigned active = 0;
-    for (const Stack &s : stacks_) {
-        if (!s.quarantined)
-            ++active;
-    }
-    return active;
 }
 
 void

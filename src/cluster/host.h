@@ -53,34 +53,9 @@ class HostModel
     Link &link() { return link_; }
     const Link &link() const { return link_; }
 
-    /** Lowest-numbered idle, non-quarantined stack (-1 when none). */
+    /** Lowest-numbered idle stack (-1 when none). */
     int freeStack() const;
     unsigned busyStacks() const { return busy_; }
-
-    // ---- Degraded-capacity serving (SDC quarantine) ----
-    // A stack whose device-level SDC monitor withdrew a channel is
-    // quarantined as a whole: freeStack() skips it, so the router sees
-    // the host at reduced per-host capacity until the stack is restored.
-
-    /** Withdraw `stack` from dispatching (idempotent; busy dispatches
-     *  run to completion). */
-    void quarantineStack(unsigned stack);
-    /** Return `stack` to dispatching (idempotent). */
-    void restoreStack(unsigned stack);
-    bool stackQuarantined(unsigned stack) const
-    {
-        return stacks_[stack].quarantined;
-    }
-    /** Stacks currently dispatchable. */
-    unsigned activeStacks() const;
-    /** activeStacks / numStacks in (0, 1]. */
-    double capacityFraction() const
-    {
-        return stacks_.empty()
-                   ? 1.0
-                   : static_cast<double>(activeStacks()) /
-                         static_cast<double>(stacks_.size());
-    }
 
     /** Mark `stack` busy with `dispatch` until `until_ns`. */
     void occupy(unsigned stack, double now_ns, double until_ns,
@@ -109,7 +84,6 @@ class HostModel
     struct Stack
     {
         bool busy = false;
-        bool quarantined = false;
         double sinceNs = 0.0;
         std::uint64_t dispatch = 0;
     };

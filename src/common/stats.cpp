@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/logging.h"
+
 namespace pimsim {
 
 void
@@ -113,6 +115,21 @@ Histogram::retainExemplars(const std::unordered_set<std::uint64_t> &kept)
     }
 }
 
+void
+Histogram::merge(const Histogram &other)
+{
+    PIMSIM_ASSERT(bucketWidth_ == other.bucketWidth_ &&
+                      buckets_.size() == other.buckets_.size(),
+                  "merging histograms of different shapes");
+    for (std::size_t i = 0; i < buckets_.size(); ++i)
+        buckets_[i] += other.buckets_[i];
+    overflow_ += other.overflow_;
+    count_ += other.count_;
+    sum_ += other.sum_;
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+}
+
 double
 Histogram::mean() const
 {
@@ -149,19 +166,6 @@ Histogram::percentile(double p) const
     }
     // The rank fell into the overflow bucket.
     return static_cast<double>(max_);
-}
-
-void
-Histogram::dump(std::ostream &os) const
-{
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i]) {
-            os << "[" << i * bucketWidth_ << "," << (i + 1) * bucketWidth_
-               << ") " << buckets_[i] << "\n";
-        }
-    }
-    if (overflow_)
-        os << "[overflow) " << overflow_ << "\n";
 }
 
 } // namespace pimsim

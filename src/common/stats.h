@@ -191,6 +191,14 @@ class Histogram
      */
     void reset();
 
+    /**
+     * Add every sample of `other`, which must have the same bucket shape
+     * (asserted): bucket counts, overflow, count, sum, min and max.
+     * Exemplars are not merged. The result equals one histogram fed both
+     * sample sets, so its percentiles are the pooled ones.
+     */
+    void merge(const Histogram &other);
+
     std::uint64_t count() const { return count_; }
     double mean() const;
 
@@ -212,8 +220,6 @@ class Histogram
     std::uint64_t bucketWidth() const { return bucketWidth_; }
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     std::uint64_t overflow() const { return overflow_; }
-
-    void dump(std::ostream &os) const;
 
   private:
     std::uint64_t bucketWidth_;

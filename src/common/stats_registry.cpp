@@ -1,7 +1,5 @@
 #include "common/stats_registry.h"
 
-#include <algorithm>
-#include <fstream>
 #include <ostream>
 
 #include "common/json.h"
@@ -48,20 +46,6 @@ StatsRegistry::addHistogram(const std::string &path, Histogram *histogram)
         }
     }
     histograms_.emplace_back(path, histogram);
-}
-
-void
-StatsRegistry::removePrefix(const std::string &prefix)
-{
-    const auto starts = [&](const auto &entry) {
-        return entry.first.compare(0, prefix.size(), prefix) == 0;
-    };
-    groups_.erase(
-        std::remove_if(groups_.begin(), groups_.end(), starts),
-        groups_.end());
-    histograms_.erase(
-        std::remove_if(histograms_.begin(), histograms_.end(), starts),
-        histograms_.end());
 }
 
 const StatGroup *
@@ -190,18 +174,6 @@ StatsRegistry::dumpJson(std::ostream &os) const
     w.endObject();
     w.endObject();
     os << "\n";
-}
-
-bool
-StatsRegistry::writeJsonFile(const std::string &path) const
-{
-    std::ofstream os(path);
-    if (!os) {
-        PIMSIM_WARN("cannot open stats output '", path, "'");
-        return false;
-    }
-    dumpJson(os);
-    return static_cast<bool>(os);
 }
 
 } // namespace pimsim

@@ -35,12 +35,6 @@ class StatsRegistry
     /** Register a histogram under `path`; replaces an existing entry. */
     void addHistogram(const std::string &path, Histogram *histogram);
 
-    /** Drop every registration whose path starts with `prefix`. */
-    void removePrefix(const std::string &prefix);
-
-    std::size_t numGroups() const { return groups_.size(); }
-    std::size_t numHistograms() const { return histograms_.size(); }
-
     /** The group registered at exactly `path` (nullptr if absent). */
     const StatGroup *group(const std::string &path) const;
 
@@ -75,9 +69,6 @@ class StatsRegistry
      *  "histograms": {path: {"count": ..., "mean": ..., "p50": ...}}}
      */
     void dumpJson(std::ostream &os) const;
-
-    /** dumpJson() to a file; returns false (and warns) on failure. */
-    bool writeJsonFile(const std::string &path) const;
 
   private:
     std::vector<std::pair<std::string, StatGroup *>> groups_;

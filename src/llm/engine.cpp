@@ -10,19 +10,9 @@ namespace pimsim::llm {
 
 namespace {
 
-serve::LatencySummary
-summariseHist(const Histogram &h)
-{
-    serve::LatencySummary s;
-    if (h.count() == 0)
-        return s;
-    s.meanNs = h.mean();
-    s.p50Ns = h.p50();
-    s.p95Ns = h.p95();
-    s.p99Ns = h.p99();
-    s.maxNs = static_cast<double>(h.max());
-    return s;
-}
+/** Latency histogram shape: 20 us buckets up to ~164 ms. */
+constexpr std::uint64_t kHistBucketNs = 20'000;
+constexpr std::size_t kHistBuckets = 8192;
 
 } // namespace
 
@@ -30,12 +20,8 @@ void
 LlmReport::reconcile() const
 {
     const auto check = [](const LlmTenantReport &t) {
-        PIMSIM_ASSERT(t.completed + t.shed + t.timedOut + t.rejected ==
-                          t.submitted,
-                      "LLM terminal-state drift for '", t.name,
-                      "': completed ", t.completed, " + shed ", t.shed,
-                      " + timedOut ", t.timedOut, " + rejected ", t.rejected,
-                      " != submitted ", t.submitted);
+        serve::assertBalanced(t.name, {t.submitted, t.completed, t.shed,
+                                       t.timedOut, t.rejected, 0});
         PIMSIM_ASSERT(t.admitted == t.submitted - t.rejected - t.shed,
                       "LLM admission drift for '", t.name, "'");
     };
@@ -47,7 +33,11 @@ LlmReport::reconcile() const
                   kvBlocksAllocated, " != freed ", kvBlocksFreed);
 }
 
-LlmEngine::LlmEngine(const LlmEngineConfig &config) : config_(config)
+LlmEngine::LlmEngine(const LlmEngineConfig &config)
+    : config_(config),
+      ledger_(serve::namesOf(config.tenants),
+              {"ttftNs", "perTokenNs", "e2eNs"}, kHistBucketNs,
+              kHistBuckets)
 {
     config_.decoder.validate();
     PIMSIM_ASSERT(!config_.tenants.empty(), "LLM engine needs tenants");
@@ -100,19 +90,10 @@ LlmEngine::LlmEngine(const LlmEngineConfig &config) : config_(config)
         config_.system, config_.decoder, config_.ctxGranule,
         config_.prefillGranule, config_.timingCache);
 
-    tenants_.reserve(config_.tenants.size());
     for (const LlmTenantSpec &spec : config_.tenants)
-        tenants_.emplace_back(spec, config_.histBucketNs,
-                              config_.histBuckets);
-    // Histogram registration only after tenants_ reached its final size
-    // (reallocation would dangle the registered pointers).
+        tenants_.push_back(TenantState{spec});
     StatsRegistry &registry = system_->statsRegistry();
-    for (TenantState &t : tenants_) {
-        const std::string base = "llm.tenant." + t.spec.name;
-        registry.addHistogram(base + ".ttftNs", &t.ttftH);
-        registry.addHistogram(base + ".perTokenNs", &t.perTokenH);
-        registry.addHistogram(base + ".e2eNs", &t.e2eH);
-    }
+    ledger_.registerHistograms(registry, "llm.tenant.");
     registry.addGroup("llm", &stats_);
     registry.addGroup("llm.kv", &kv_->statsGroup());
 }
@@ -126,8 +107,7 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
     PIMSIM_ASSERT(prompt_tokens >= 1 && output_tokens >= 1,
                   "empty prompt or output");
     advanceTo(arrival_ns);
-    TenantState &t = tenants_[tenant];
-    ++t.submitted;
+    ledger_.submit(tenant);
 
     LlmRequest req;
     req.id = nextId_++;
@@ -135,8 +115,8 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
     req.promptTokens = prompt_tokens;
     req.outputTokens = output_tokens;
     req.arrivalNs = arrival_ns;
-    if (t.spec.deadlineNs > 0.0)
-        req.deadlineNs = arrival_ns + t.spec.deadlineNs;
+    if (config_.tenants[tenant].deadlineNs > 0.0)
+        req.deadlineNs = arrival_ns + config_.tenants[tenant].deadlineNs;
     if (reqTracer_ != nullptr)
         req.trace = reqTracer_->begin(arrival_ns);
 
@@ -146,8 +126,7 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
     const unsigned total_tokens = prompt_tokens + output_tokens;
     if (total_tokens > config_.decoder.maxContextTokens ||
         kv_->blocksFor(total_tokens) > kv_->capBlocks(tenant)) {
-        ++t.rejected;
-        finishRequestTrace(req, nowNs_, "rejected", /*erred=*/true);
+        close(req, serve::Terminal::Rejected, nowNs_, "rejected");
         return false;
     }
 
@@ -157,17 +136,14 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
         // rather than burning decode iterations on a doomed request.
         const double est = estimateNs(prompt_tokens, output_tokens);
         if (arrival_ns + est > req.deadlineNs) {
-            ++t.shed;
-            finishRequestTrace(req, nowNs_, "shed", /*erred=*/true);
+            close(req, serve::Terminal::Shed, nowNs_, "shed");
             return false;
         }
     }
 
     const LlmRequest admitted = req; // admit() consumes the request
     if (!batcher_->admit(std::move(req))) {
-        ++t.rejected;
-        finishRequestTrace(admitted, nowNs_, "queue-full",
-                           /*erred=*/true);
+        close(admitted, serve::Terminal::Rejected, nowNs_, "queue-full");
         return false;
     }
     if (!iterationInFlight_)
@@ -208,6 +184,7 @@ LlmEngine::drain()
                   " live KV sequences");
     batcher_->reconcile();
     kv_->reconcile();
+    ledger_.assertDrained();
 }
 
 double
@@ -220,14 +197,6 @@ StatsRegistry &
 LlmEngine::statsRegistry()
 {
     return system_->statsRegistry();
-}
-
-std::vector<LlmRequest>
-LlmEngine::takeCompletions()
-{
-    std::vector<LlmRequest> out;
-    out.swap(completions_);
-    return out;
 }
 
 void
@@ -246,15 +215,8 @@ void
 LlmEngine::setRequestTracer(RequestTracer *tracer)
 {
     reqTracer_ = tracer;
+    ledger_.setTracer(tracer);
     batcher_->setRequestTracer(tracer);
-}
-
-std::vector<SloObservation>
-LlmEngine::takeSloObservations()
-{
-    std::vector<SloObservation> out;
-    out.swap(sloObs_);
-    return out;
 }
 
 double
@@ -359,87 +321,53 @@ void
 LlmEngine::expireDue()
 {
     for (const LlmRequest &dead : batcher_->expireQueued(nowNs_)) {
-        TenantState &t = tenants_[dead.tenant];
-        ++t.timedOut;
-        t.preemptions += dead.preemptions;
-        finishRequestTrace(dead, nowNs_, "queue-timeout", /*erred=*/true);
+        tenants_[dead.tenant].preemptions += dead.preemptions;
+        close(dead, serve::Terminal::TimedOut, nowNs_, "queue-timeout");
     }
 }
 
 void
-LlmEngine::finishRequestTrace(const LlmRequest &request, double end_ns,
-                              const char *terminal, bool erred)
+LlmEngine::close(const LlmRequest &request, serve::Terminal end,
+                 double end_ns, const char *instant)
 {
-    const bool missed = !erred && request.hasDeadline() &&
-                        end_ns > request.deadlineNs;
-    sloObs_.push_back(SloObservation{end_ns, !erred && !missed});
-    if (reqTracer_ == nullptr || !request.trace.active())
-        return;
-    if (terminal != nullptr) {
-        reqTracer_->instant(request.trace, kTracePidLlm, 2, terminal,
-                            "terminal", end_ns);
-    }
-    reqTracer_->span(request.trace, kTracePidLlm, 2, "request", "request",
-                     request.arrivalNs, end_ns - request.arrivalNs);
-    TraceOutcome outcome;
-    outcome.latencyNs = end_ns - request.arrivalNs;
-    outcome.erred = erred;
-    outcome.deadlineMissed = missed;
     // Evict-and-requeue is the LLM tier's failover analogue: preempted
     // requests are always worth keeping.
-    outcome.failedOver = request.preemptions > 0;
-    reqTracer_->end(request.trace, outcome);
+    ledger_.close(
+        {.tenant = request.tenant, .terminal = end,
+         .arrivalNs = request.arrivalNs, .deadlineNs = request.deadlineNs,
+         .endNs = end_ns, .trace = request.trace, .pid = kTracePidLlm,
+         .tid = 2, .instant = instant,
+         .failedOver = request.preemptions > 0});
 }
 
 void
 LlmEngine::recordCompletion(const LlmRequest &request)
 {
     TenantState &t = tenants_[request.tenant];
-    ++t.completed;
     t.tokensOut += request.outputTokens;
     t.preemptions += request.preemptions;
-    t.ttftH.sample(static_cast<std::uint64_t>(
-                       std::max(0.0, request.firstTokenNs -
-                                         request.arrivalNs)),
+    ledger_.sample(request.tenant, kTtft,
+                   static_cast<std::uint64_t>(std::max(
+                       0.0, request.firstTokenNs - request.arrivalNs)),
                    request.trace.traceId);
     const double e2e = std::max(0.0, request.completeNs - request.arrivalNs);
     // Normalized latency (e2e per output token): the standard metric
     // for comparing batch schedulers — it charges queueing and
     // preemption stalls to every token, which raw inter-token gaps
     // would hide.
-    t.perTokenH.sample(static_cast<std::uint64_t>(
-                           e2e / std::max(1u, request.outputTokens)),
-                       request.trace.traceId);
-    t.e2eH.sample(static_cast<std::uint64_t>(e2e), request.trace.traceId);
+    ledger_.sample(request.tenant, kPerToken,
+                   static_cast<std::uint64_t>(
+                       e2e / std::max(1u, request.outputTokens)),
+                   request.trace.traceId);
+    ledger_.sample(request.tenant, kE2e, static_cast<std::uint64_t>(e2e),
+                   request.trace.traceId);
     if (request.hasDeadline() && request.completeNs > request.deadlineNs)
         ++t.sloViolations;
     else
         t.goodTokens += request.outputTokens;
-    finishRequestTrace(request, request.completeNs, /*terminal=*/nullptr,
-                       /*erred=*/false);
+    close(request, serve::Terminal::Completed, request.completeNs,
+          /*instant=*/nullptr);
     completions_.push_back(request);
-}
-
-LlmTenantReport
-LlmEngine::summarise(const TenantState &t, double horizon_ns) const
-{
-    LlmTenantReport r;
-    r.name = t.spec.name;
-    r.submitted = t.submitted;
-    r.rejected = t.rejected;
-    r.shed = t.shed;
-    r.timedOut = t.timedOut;
-    r.completed = t.completed;
-    r.admitted = t.submitted - t.rejected - t.shed;
-    r.preemptions = t.preemptions;
-    r.sloViolations = t.sloViolations;
-    r.tokensOut = t.tokensOut;
-    r.goodputTokensPerSec =
-        horizon_ns > 0.0 ? t.goodTokens * 1e9 / horizon_ns : 0.0;
-    r.ttft = summariseHist(t.ttftH);
-    r.perToken = summariseHist(t.perTokenH);
-    r.e2e = summariseHist(t.e2eH);
-    return r;
 }
 
 LlmReport
@@ -447,46 +375,40 @@ LlmEngine::report() const
 {
     LlmReport report;
     report.horizonNs = nowNs_;
-    TenantState total(LlmTenantSpec{"total", 0.0, 0}, 1, 1);
-    for (const TenantState &t : tenants_) {
-        report.tenants.push_back(summarise(t, nowNs_));
-        total.submitted += t.submitted;
-        total.rejected += t.rejected;
-        total.shed += t.shed;
-        total.timedOut += t.timedOut;
-        total.completed += t.completed;
-        total.preemptions += t.preemptions;
-        total.sloViolations += t.sloViolations;
-        total.tokensOut += t.tokensOut;
-        total.goodTokens += t.goodTokens;
+    report.total.name = "total";
+    const auto add = [](LlmTenantReport &r, const serve::TerminalCounts &c,
+                        const TenantState &t) {
+        r.submitted += c.submitted;
+        r.admitted += c.submitted - c.rejected - c.shed;
+        r.rejected += c.rejected;
+        r.shed += c.shed;
+        r.timedOut += c.timedOut;
+        r.completed += c.completed;
+        r.preemptions += t.preemptions;
+        r.sloViolations += t.sloViolations;
+        r.tokensOut += t.tokensOut;
+    };
+    const auto goodput = [&](std::uint64_t good_tokens) {
+        return nowNs_ > 0.0 ? good_tokens * 1e9 / nowNs_ : 0.0;
+    };
+    std::uint64_t good_tokens = 0;
+    for (unsigned i = 0; i < tenants_.size(); ++i) {
+        const TenantState &t = tenants_[i];
+        LlmTenantReport r;
+        r.name = t.spec.name;
+        add(r, ledger_.counts(i), t);
+        add(report.total, ledger_.counts(i), t);
+        r.goodputTokensPerSec = goodput(t.goodTokens);
+        good_tokens += t.goodTokens;
+        r.ttft = ledger_.summary(i, kTtft);
+        r.perToken = ledger_.summary(i, kPerToken);
+        r.e2e = ledger_.summary(i, kE2e);
+        report.tenants.push_back(std::move(r));
     }
-    report.total = summarise(total, nowNs_);
-    // Aggregate quantiles cannot be rebuilt from per-tenant quantiles:
-    // with one tenant the totals are exact, otherwise take the max of
-    // the per-tenant tails — conservative for acceptance checks.
-    report.total.ttft = serve::LatencySummary{};
-    report.total.perToken = serve::LatencySummary{};
-    report.total.e2e = serve::LatencySummary{};
-    if (tenants_.size() == 1) {
-        report.total.ttft = report.tenants[0].ttft;
-        report.total.perToken = report.tenants[0].perToken;
-        report.total.e2e = report.tenants[0].e2e;
-    } else {
-        for (const LlmTenantReport &t : report.tenants) {
-            report.total.ttft.p99Ns =
-                std::max(report.total.ttft.p99Ns, t.ttft.p99Ns);
-            report.total.perToken.p99Ns =
-                std::max(report.total.perToken.p99Ns, t.perToken.p99Ns);
-            report.total.e2e.p99Ns =
-                std::max(report.total.e2e.p99Ns, t.e2e.p99Ns);
-            report.total.ttft.maxNs =
-                std::max(report.total.ttft.maxNs, t.ttft.maxNs);
-            report.total.perToken.maxNs =
-                std::max(report.total.perToken.maxNs, t.perToken.maxNs);
-            report.total.e2e.maxNs =
-                std::max(report.total.e2e.maxNs, t.e2e.maxNs);
-        }
-    }
+    report.total.goodputTokensPerSec = goodput(good_tokens);
+    report.total.ttft = ledger_.pooledSummary(kTtft);
+    report.total.perToken = ledger_.pooledSummary(kPerToken);
+    report.total.e2e = ledger_.pooledSummary(kE2e);
     report.iterations = iterations_;
     report.meanBatch =
         iterations_ > 0

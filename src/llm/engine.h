@@ -35,9 +35,9 @@
 #ifndef PIMSIM_LLM_ENGINE_H
 #define PIMSIM_LLM_ENGINE_H
 
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/slo.h"
@@ -45,9 +45,9 @@
 #include "llm/batcher.h"
 #include "llm/decoder.h"
 #include "llm/kv_cache.h"
+#include "serve/request_ledger.h"
 #include "serve/resilience.h"
 #include "serve/service_model.h"
-#include "serve/serving_engine.h"
 #include "sim/system.h"
 #include "stack/driver.h"
 
@@ -82,9 +82,6 @@ struct LlmEngineConfig
     /** Shed at admission when the optimistic estimate misses the
      *  deadline (only tenants with one). */
     bool deadlineAdmission = true;
-    /** Latency histogram shape (values in ns). */
-    std::uint64_t histBucketNs = 20'000;
-    std::size_t histBuckets = 8192;
     /** Optional cross-engine service-time memo (benchmark sweeps). */
     std::shared_ptr<serve::ServiceTimeCache> timingCache;
 };
@@ -164,7 +161,10 @@ class LlmEngine
     double nextEventNs() const;
 
     /** Requests completed since the last call (closed-loop feedback). */
-    std::vector<LlmRequest> takeCompletions();
+    std::vector<LlmRequest> takeCompletions()
+    {
+        return std::exchange(completions_, {});
+    }
 
     double nowNs() const { return nowNs_; }
 
@@ -179,11 +179,11 @@ class LlmEngine
     /** One tenant's latency histograms (timeseries tracking). */
     const Histogram &ttftHistogram(unsigned tenant) const
     {
-        return tenants_[tenant].ttftH;
+        return ledger_.histogram(tenant, kTtft);
     }
     const Histogram &e2eHistogram(unsigned tenant) const
     {
-        return tenants_[tenant].e2eH;
+        return ledger_.histogram(tenant, kE2e);
     }
 
     /**
@@ -217,7 +217,10 @@ class LlmEngine
      * rejections, timeouts and late completions are bad; in-deadline
      * completions are good.
      */
-    std::vector<SloObservation> takeSloObservations();
+    std::vector<SloObservation> takeSloObservations()
+    {
+        return ledger_.takeSloObservations();
+    }
 
     /** Aggregate statistics over everything served so far. */
     LlmReport report() const;
@@ -230,24 +233,18 @@ class LlmEngine
     void writeStats(std::ostream &os) const;
 
   private:
+    /** The ledger's latency histograms, per tenant. */
+    enum Metric : unsigned
+    {
+        kTtft,     ///< arrival -> first token
+        kPerToken, ///< e2e / output tokens
+        kE2e,      ///< arrival -> completion
+    };
+
+    /** What only the LLM engine counts per tenant. */
     struct TenantState
     {
-        TenantState(const LlmTenantSpec &s, std::uint64_t bucket_ns,
-                    std::size_t buckets)
-            : spec(s), ttftH(bucket_ns, buckets),
-              perTokenH(bucket_ns, buckets), e2eH(bucket_ns, buckets)
-        {
-        }
-
         LlmTenantSpec spec;
-        Histogram ttftH;
-        Histogram perTokenH;
-        Histogram e2eH;
-        std::uint64_t submitted = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t timedOut = 0;
-        std::uint64_t completed = 0;
         std::uint64_t preemptions = 0;
         std::uint64_t sloViolations = 0;
         std::uint64_t tokensOut = 0;
@@ -266,14 +263,13 @@ class LlmEngine
     /** Time out queued requests whose deadline has passed. */
     void expireDue();
     void recordCompletion(const LlmRequest &request);
-    void traceKvSpan(double start_ns, double end_ns);
-    /** Close a request's trace (root span + outcome) and record its
-     *  SLO observation. `terminal` names non-completed ends. */
-    void finishRequestTrace(const LlmRequest &request, double end_ns,
-                            const char *terminal, bool erred);
-    LlmTenantReport summarise(const TenantState &t, double horizon_ns) const;
+    /** End `request` in the ledger on the "requests" track. `instant`
+     *  names non-completed ends. */
+    void close(const LlmRequest &request, serve::Terminal end,
+               double end_ns, const char *instant);
 
     LlmEngineConfig config_;
+    serve::RequestLedger ledger_;
     std::unique_ptr<PimSystem> system_;
     std::unique_ptr<PimDriver> weightDriver_;
     PimRowBlock weightBlock_;
@@ -286,7 +282,6 @@ class LlmEngine
     serve::FaultModel *faults_ = nullptr;
     TraceSession *trace_ = nullptr;
     RequestTracer *reqTracer_ = nullptr;
-    std::vector<SloObservation> sloObs_;
     mutable StatGroup stats_{"llm"};
 
     bool iterationInFlight_ = false;
@@ -300,7 +295,6 @@ class LlmEngine
 
     std::vector<LlmRequest> completions_;
     double nowNs_ = 0.0;
-    double lastKvMarkNs_ = 0.0;
     std::uint64_t nextId_ = 1;
 };
 

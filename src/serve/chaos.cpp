@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "reliability/fault_injector.h"
 
 namespace pimsim::serve {
 
@@ -58,8 +57,6 @@ ChaosCampaign::extend(unsigned shard, double until_ns)
         if (stream.rng.nextDouble() < accept) {
             stream.events.push_back(stream.candidateNs);
             ++generated_;
-            if (injector_)
-                injector_->injectUncorrectableBurst();
         }
     }
 }

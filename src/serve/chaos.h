@@ -12,12 +12,6 @@
  * the process puts them — a batch fails iff an event falls inside its
  * occupancy of the shard.
  *
- * The campaign can additionally be coupled to a device-level
- * FaultInjector: every generated event then also plants a real
- * SEC-DED-defeating DRAM burst fault in the live PimSystem, so the
- * machine-check log and fault counters of the served device reflect the
- * same campaign the queueing model saw.
- *
  * The campaign also carries host-level fault processes for the cluster
  * tier (HostFaultModel): scheduled whole-host crash windows, straggler
  * windows that multiply service times, and flaky-link windows that drop
@@ -38,10 +32,6 @@
 
 #include "common/rng.h"
 #include "serve/resilience.h"
-
-namespace pimsim {
-class FaultInjector;
-}
 
 namespace pimsim::serve {
 
@@ -128,14 +118,6 @@ class ChaosCampaign : public FaultModel,
     bool linkDropped(unsigned host, std::uint64_t transfer_id,
                      double ns) override;
 
-    /**
-     * Mirror every generated fault event into a live device: each event
-     * plants one uncorrectable DRAM burst fault through `injector`
-     * (nullptr detaches). Events generated before coupling are not
-     * replayed.
-     */
-    void coupleInjector(FaultInjector *injector) { injector_ = injector; }
-
     /** The instantaneous event rate (faults/sec) at time `ns`. */
     double rateAt(double ns) const;
 
@@ -172,7 +154,6 @@ class ChaosCampaign : public FaultModel,
 
     ChaosConfig config_;
     double maxRate_; ///< thinning envelope (faults/sec)
-    FaultInjector *injector_ = nullptr;
     std::vector<Stream> streams_;
     std::vector<SdcStream> sdcStreams_;
     unsigned sdcUnitsPerChannel_ = 0;

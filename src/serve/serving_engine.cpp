@@ -29,22 +29,13 @@ toNsSample(double ns)
                      : static_cast<std::uint64_t>(std::llround(ns));
 }
 
-LatencySummary
-summariseHistogram(const Histogram &h)
-{
-    LatencySummary s;
-    s.meanNs = h.mean();
-    s.p50Ns = h.p50();
-    s.p95Ns = h.p95();
-    s.p99Ns = h.p99();
-    s.maxNs = static_cast<double>(h.max());
-    return s;
-}
-
 } // namespace
 
 ServingEngine::ServingEngine(const ServeConfig &config)
     : config_(config),
+      ledger_(namesOf(config.tenants),
+              {"queueNs", "serviceNs", "e2eNs"}, config.histBucketNs,
+              config.histBuckets),
       system_(std::make_unique<PimSystem>(config.system)),
       plan_(ShardPlan::shared(0, 0, 0)),
       queue_(config.queue,
@@ -115,23 +106,21 @@ ServingEngine::ServingEngine(const ServeConfig &config)
 
     sched_ = Scheduler::make(config.sched, weights);
 
+    auto &stats = system_->serveStats();
     for (const auto &spec : config.tenants) {
-        TenantState state{spec, cache->intern(spec.app),
-                          Histogram(config.histBucketNs, config.histBuckets),
-                          Histogram(config.histBucketNs, config.histBuckets),
-                          Histogram(config.histBucketNs, config.histBuckets)};
-        tenants_.push_back(std::move(state));
+        const auto bind = [&](const char *stat) {
+            statNames_.push_back("tenant." + spec.name + "." + stat);
+            return StatCounter(&stats, statNames_.back().c_str());
+        };
+        tenants_.push_back(TenantState{
+            spec, cache->intern(spec.app), "request " + spec.name,
+            bind("submitted"), bind("admitted"), bind("shed"),
+            bind("rejected"), bind("timedOut"), bind("completed"),
+            {0, bind("retries")}, {0, bind("sdcReruns")},
+            {0, bind("fallbackCompleted")}, {0, bind("silentlyWrong")},
+            {0, bind("sloViolations")}, {0, bind("batches")}});
     }
-
-    // Register the latency histograms only once tenants_ has its final
-    // size: a later push_back would reallocate and dangle the pointers.
-    auto &registry = system_->statsRegistry();
-    for (auto &t : tenants_) {
-        const std::string base = "serve.tenant." + t.spec.name;
-        registry.addHistogram(base + ".queueNs", &t.queueH);
-        registry.addHistogram(base + ".serviceNs", &t.serviceH);
-        registry.addHistogram(base + ".e2eNs", &t.e2eH);
-    }
+    ledger_.registerHistograms(system_->statsRegistry(), "serve.tenant.");
 }
 
 void
@@ -209,31 +198,17 @@ ServingEngine::backlogNs(unsigned s)
 }
 
 void
-ServingEngine::finishRequestTrace(ServeRequest &request, double end_ns,
-                                  const char *terminal, bool erred)
+ServingEngine::close(const ServeRequest &request, Terminal end,
+                     double end_ns, const char *instant, bool wrong)
 {
-    const bool missed =
-        !erred && request.hasDeadline() && end_ns > request.deadlineNs;
-    sloObs_.push_back(SloObservation{end_ns, !erred && !missed});
-    if (reqTracer_ == nullptr || !request.trace.active())
-        return;
-    if (terminal != nullptr) {
-        reqTracer_->instant(request.trace,
-                            kTracePidServing,
-                            static_cast<int>(plan_.shardOf(request.tenant)),
-                            terminal, "terminal", end_ns);
-    }
-    reqTracer_->span(request.trace, kTracePidServing,
-                     static_cast<int>(plan_.shardOf(request.tenant)),
-                     "request " + tenants_[request.tenant].spec.name,
-                     "request", request.arrivalNs,
-                     end_ns - request.arrivalNs);
-    TraceOutcome outcome;
-    outcome.latencyNs = end_ns - request.arrivalNs;
-    outcome.erred = erred;
-    outcome.deadlineMissed = missed;
-    outcome.failedOver = request.attempts > 1 || request.hostFallback;
-    reqTracer_->end(request.trace, outcome);
+    ledger_.close(
+        {.tenant = request.tenant, .terminal = end,
+         .arrivalNs = request.arrivalNs, .deadlineNs = request.deadlineNs,
+         .endNs = end_ns, .trace = request.trace, .pid = kTracePidServing,
+         .tid = static_cast<int>(plan_.shardOf(request.tenant)),
+         .span = tenants_[request.tenant].spanName.c_str(),
+         .instant = instant, .wrong = wrong,
+         .failedOver = request.attempts > 1 || request.hostFallback});
 }
 
 bool
@@ -255,28 +230,26 @@ ServingEngine::submit(unsigned tenant, double arrival_ns)
     if (reqTracer_ != nullptr)
         request.trace = reqTracer_->begin(arrival_ns);
 
-    ++state.submitted;
-    auto &stats = system_->serveStats();
-    stats.add("tenant." + state.spec.name + ".submitted");
+    ledger_.submit(tenant);
+    state.submitted.add();
 
     if (config_.deadlineAdmission && request.hasDeadline()) {
         const unsigned s = plan_.shardOf(tenant);
         const double estimate =
             nowNs_ + backlogNs(s) + svc1Ns(tenant);
         if (estimate > request.deadlineNs) {
-            ++state.shed;
-            stats.add("tenant." + state.spec.name + ".shed");
-            finishRequestTrace(request, nowNs_, "shed", true);
+            state.shed.add();
+            close(request, Terminal::Shed, nowNs_, "shed");
             return false;
         }
     }
 
     if (!queue_.tryPush(request)) {
-        stats.add("tenant." + state.spec.name + ".rejected");
-        finishRequestTrace(request, nowNs_, "rejected", true);
+        state.rejected.add();
+        close(request, Terminal::Rejected, nowNs_, "rejected");
         return false;
     }
-    stats.add("tenant." + state.spec.name + ".admitted");
+    state.admitted.add();
     dispatchAll();
     return true;
 }
@@ -338,13 +311,8 @@ void
 ServeReport::reconcile() const
 {
     const auto check = [](const TenantReport &t) {
-        const std::uint64_t terminal =
-            t.completed + t.shed + t.timedOut + t.rejected;
-        PIMSIM_ASSERT(terminal == t.submitted,
-                      "serve accounting leak for '", t.name, "': ",
-                      t.completed, " completed + ", t.shed, " shed + ",
-                      t.timedOut, " timed out + ", t.rejected,
-                      " rejected != ", t.submitted, " submitted");
+        assertBalanced(t.name, {t.submitted, t.completed, t.shed,
+                                t.timedOut, t.rejected, 0});
     };
     for (const TenantReport &t : tenants)
         check(t);
@@ -360,7 +328,7 @@ ServingEngine::drain()
             break;
         advanceTo(event);
     }
-    report().reconcile();
+    ledger_.assertDrained();
     // Close any breaker span still running so traces written before the
     // engine dies show the final open/half-open interval.
     for (unsigned s = 0; s < shards_.size(); ++s) {
@@ -387,7 +355,6 @@ ServingEngine::completeDue()
 void
 ServingEngine::expireDue()
 {
-    auto &stats = system_->serveStats();
     for (unsigned t = 0; t < tenants_.size(); ++t) {
         while (true) {
             const ServeRequest *head = queue_.front(t);
@@ -396,9 +363,8 @@ ServingEngine::expireDue()
                 break;
             ServeRequest expired = *head;
             queue_.popFront(t);
-            ++tenants_[t].timedOut;
-            stats.add("tenant." + tenants_[t].spec.name + ".timedOut");
-            finishRequestTrace(expired, nowNs_, "queue-timeout", true);
+            tenants_[t].timedOut.add();
+            close(expired, Terminal::TimedOut, nowNs_, "queue-timeout");
         }
     }
 }
@@ -602,9 +568,7 @@ ServingEngine::finishBatch(unsigned shard)
         pending.batch = std::move(server.inFlight);
         pending.readyNs = server.freeNs;
         pending.forceHost = true;
-        state.retries += pending.batch.size();
-        stats.add("tenant." + state.spec.name + ".sdcReruns",
-                  pending.batch.size());
+        state.sdcReruns.add(pending.batch.size());
         if (trace_) {
             trace_->instant(kTracePidResilience,
                             static_cast<int>(shard), "sdcDetected",
@@ -624,9 +588,7 @@ ServingEngine::finishBatch(unsigned shard)
                 server.freeNs +
                 config_.retry.backoffNs(attempts, retryRng_);
             pending.forceHost = false;
-            state.retries += pending.batch.size();
-            stats.add("tenant." + state.spec.name + ".retries",
-                      pending.batch.size());
+            state.retries.add(pending.batch.size());
         } else {
             // Budget spent: straight to the host golden path.
             pending.readyNs = server.freeNs;
@@ -637,37 +599,26 @@ ServingEngine::finishBatch(unsigned shard)
         for (auto &r : server.inFlight.requests) {
             r.completeNs = server.freeNs;
             r.hostFallback = server.fallback;
-            state.queueH.sample(toNsSample(r.queueNs()),
-                                r.trace.traceId);
-            state.serviceH.sample(toNsSample(r.serviceNs()),
-                                  r.trace.traceId);
-            state.e2eH.sample(toNsSample(r.latencyNs()),
-                              r.trace.traceId);
-            ++state.completed;
-            if (server.fallback) {
-                ++state.fallbackCompleted;
-                stats.add("tenant." + state.spec.name +
-                          ".fallbackCompleted");
-            }
-            if (sdc_silent) {
-                ++state.silentlyWrong;
-                stats.add("tenant." + state.spec.name +
-                          ".silentlyWrong");
-            }
-            if (r.hasDeadline() && r.completeNs > r.deadlineNs) {
-                ++state.sloViolations;
-                stats.add("tenant." + state.spec.name +
-                          ".sloViolations");
-            }
+            ledger_.sample(tenant, kQueue, toNsSample(r.queueNs()),
+                           r.trace.traceId);
+            ledger_.sample(tenant, kService, toNsSample(r.serviceNs()),
+                           r.trace.traceId);
+            ledger_.sample(tenant, kE2e, toNsSample(r.latencyNs()),
+                           r.trace.traceId);
+            if (server.fallback)
+                state.fallbackCompleted.add();
+            if (sdc_silent)
+                state.silentlyWrong.add();
+            if (r.hasDeadline() && r.completeNs > r.deadlineNs)
+                state.sloViolations.add();
             // A silently wrong completion burns SLO error budget like
             // an error: the user saw a bad answer on time.
-            finishRequestTrace(r, r.completeNs, nullptr, sdc_silent);
+            close(r, Terminal::Completed, r.completeNs, nullptr,
+                  sdc_silent);
             completions_.push_back(r);
         }
-        ++state.batches;
-        stats.add("tenant." + state.spec.name + ".completed",
-                  server.inFlight.size());
-        stats.add("tenant." + state.spec.name + ".batches");
+        state.completed.add(server.inFlight.size());
+        state.batches.add();
     }
 
     server.busy = false;
@@ -828,44 +779,31 @@ ServingEngine::runSdcDue()
                                    : kNoEventNs;
 }
 
-std::vector<ServeRequest>
-ServingEngine::takeCompletions()
-{
-    std::vector<ServeRequest> out;
-    out.swap(completions_);
-    return out;
-}
-
-std::vector<SloObservation>
-ServingEngine::takeSloObservations()
-{
-    std::vector<SloObservation> out;
-    out.swap(sloObs_);
-    return out;
-}
-
 TenantReport
-ServingEngine::summarise(const TenantState &t, double horizon_ns) const
+ServingEngine::summarise(unsigned tenant) const
 {
+    const TenantState &t = tenants_[tenant];
+    const TerminalCounts &c = ledger_.counts(tenant);
     TenantReport r;
     r.name = t.spec.name;
-    r.submitted = t.submitted;
-    r.completed = t.completed;
-    r.batches = t.batches;
-    r.shed = t.shed;
-    r.timedOut = t.timedOut;
-    r.retries = t.retries;
-    r.fallbackCompleted = t.fallbackCompleted;
-    r.sloViolations = t.sloViolations;
-    r.silentlyWrong = t.silentlyWrong;
+    r.submitted = c.submitted;
+    r.admitted = queue_.admitted(tenant);
+    r.rejected = c.rejected;
+    r.completed = c.completed;
+    r.batches = t.batches.value;
+    r.shed = c.shed;
+    r.timedOut = c.timedOut;
+    r.retries = t.retries.value + t.sdcReruns.value;
+    r.fallbackCompleted = t.fallbackCompleted.value;
+    r.sloViolations = t.sloViolations.value;
+    r.silentlyWrong = t.silentlyWrong.value;
     r.servedNs = t.servedNs;
     r.throughputRps =
-        horizon_ns > 0.0
-            ? static_cast<double>(t.completed) / (horizon_ns * 1e-9)
-            : 0.0;
-    r.queue = summariseHistogram(t.queueH);
-    r.service = summariseHistogram(t.serviceH);
-    r.e2e = summariseHistogram(t.e2eH);
+        nowNs_ > 0.0 ? static_cast<double>(c.completed) / (nowNs_ * 1e-9)
+                     : 0.0;
+    r.queue = ledger_.summary(tenant, kQueue);
+    r.service = ledger_.summary(tenant, kService);
+    r.e2e = ledger_.summary(tenant, kE2e);
     return r;
 }
 
@@ -876,9 +814,7 @@ ServingEngine::report() const
     report.horizonNs = nowNs_;
     report.total.name = "total";
     for (unsigned t = 0; t < tenants_.size(); ++t) {
-        TenantReport r = summarise(tenants_[t], nowNs_);
-        r.admitted = queue_.admitted(t);
-        r.rejected = queue_.rejected(t);
+        TenantReport r = summarise(t);
         report.total.submitted += r.submitted;
         report.total.admitted += r.admitted;
         report.total.rejected += r.rejected;
@@ -897,6 +833,9 @@ ServingEngine::report() const
         nowNs_ > 0.0
             ? static_cast<double>(report.total.completed) / (nowNs_ * 1e-9)
             : 0.0;
+    report.total.queue = ledger_.pooledSummary(kQueue);
+    report.total.service = ledger_.pooledSummary(kService);
+    report.total.e2e = ledger_.pooledSummary(kE2e);
 
     for (unsigned s = 0; s < shards_.size(); ++s) {
         ShardResilienceReport r;
@@ -917,39 +856,6 @@ ServingEngine::report() const
         report.sdc.readmits = sdcMonitor_->readmits();
         report.sdc.withdrawnChannels = sdcMonitor_->withdrawnChannels();
     }
-
-    // Aggregate latency summaries: weighted mean, worst-tenant tails
-    // (per-tenant histograms are not mergeable sample-exactly; the
-    // conservative max keeps the headline honest).
-    auto aggregate = [&](auto pick_member) {
-        LatencySummary s;
-        std::uint64_t n = 0;
-        for (unsigned t = 0; t < tenants_.size(); ++t) {
-            const LatencySummary &src = pick_member(report.tenants[t]);
-            const std::uint64_t c = report.tenants[t].completed;
-            s.meanNs += src.meanNs * static_cast<double>(c);
-            n += c;
-            s.p50Ns = std::max(s.p50Ns, src.p50Ns);
-            s.p95Ns = std::max(s.p95Ns, src.p95Ns);
-            s.p99Ns = std::max(s.p99Ns, src.p99Ns);
-            s.maxNs = std::max(s.maxNs, src.maxNs);
-        }
-        if (n)
-            s.meanNs /= static_cast<double>(n);
-        return s;
-    };
-    report.total.queue =
-        aggregate([](const TenantReport &r) -> const LatencySummary & {
-            return r.queue;
-        });
-    report.total.service =
-        aggregate([](const TenantReport &r) -> const LatencySummary & {
-            return r.service;
-        });
-    report.total.e2e =
-        aggregate([](const TenantReport &r) -> const LatencySummary & {
-            return r.e2e;
-        });
     return report;
 }
 

@@ -32,8 +32,10 @@
 #ifndef PIMSIM_SERVE_SERVING_ENGINE_H
 #define PIMSIM_SERVE_SERVING_ENGINE_H
 
+#include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -41,6 +43,7 @@
 #include "common/stats.h"
 #include "reliability/sdc_monitor.h"
 #include "serve/request.h"
+#include "serve/request_ledger.h"
 #include "serve/request_queue.h"
 #include "serve/resilience.h"
 #include "serve/scheduler.h"
@@ -110,16 +113,6 @@ struct ServeConfig
     bool deadlineAdmission = true;
     /** Seed of the retry-backoff jitter stream. */
     std::uint64_t retrySeed = 0x7e57;
-};
-
-/** Latency distribution summary extracted from a Histogram. */
-struct LatencySummary
-{
-    double meanNs = 0.0;
-    double p50Ns = 0.0;
-    double p95Ns = 0.0;
-    double p99Ns = 0.0;
-    double maxNs = 0.0;
 };
 
 /** Per-tenant (or aggregate) serving outcome. */
@@ -223,7 +216,10 @@ class ServingEngine
     double nextEventNs() const;
 
     /** Requests completed since the last call (closed-loop feedback). */
-    std::vector<ServeRequest> takeCompletions();
+    std::vector<ServeRequest> takeCompletions()
+    {
+        return std::exchange(completions_, {});
+    }
 
     double nowNs() const { return nowNs_; }
 
@@ -297,7 +293,11 @@ class ServingEngine
      * a span tree and tail-sampled at the tracer (see
      * common/reqtrace.h). Not owned; must outlive the engine's use.
      */
-    void setRequestTracer(RequestTracer *tracer) { reqTracer_ = tracer; }
+    void setRequestTracer(RequestTracer *tracer)
+    {
+        reqTracer_ = tracer;
+        ledger_.setTracer(tracer);
+    }
 
     /**
      * Per-request terminal observations (timestamp + met-its-SLO)
@@ -305,25 +305,44 @@ class ServingEngine
      * rejections, timeouts and late completions are bad; in-deadline
      * completions are good.
      */
-    std::vector<SloObservation> takeSloObservations();
+    std::vector<SloObservation> takeSloObservations()
+    {
+        return ledger_.takeSloObservations();
+    }
 
   private:
+    /** The ledger's latency histograms, per tenant. */
+    enum Metric : unsigned
+    {
+        kQueue,   ///< arrival -> dispatch
+        kService, ///< dispatch -> completion
+        kE2e,     ///< arrival -> completion
+    };
+
+    /** A tenant count mirrored into its "tenant.<name>.<stat>" serve
+     *  counter. */
+    struct TenantCount
+    {
+        std::uint64_t value = 0;
+        StatCounter stat;
+
+        void add(std::uint64_t n = 1)
+        {
+            value += n;
+            stat.add(n);
+        }
+    };
+
+    /** What only the serving engine keeps per tenant. */
     struct TenantState
     {
         TenantSpec spec;
         ServiceTimeCache::AppId app;
-        Histogram queueH;
-        Histogram serviceH;
-        Histogram e2eH;
-        std::uint64_t submitted = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t batches = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t timedOut = 0;
-        std::uint64_t retries = 0;
-        std::uint64_t fallbackCompleted = 0;
-        std::uint64_t sloViolations = 0;
-        std::uint64_t silentlyWrong = 0;
+        std::string spanName; ///< root span of the tenant's requests
+        /** Serve-counter mirrors of the ledger's counts. */
+        StatCounter submitted, admitted, shed, rejected, timedOut, completed;
+        TenantCount retries, sdcReruns, fallbackCompleted, silentlyWrong,
+            sloViolations, batches;
         double servedNs = 0.0;
     };
 
@@ -388,13 +407,18 @@ class ServingEngine
     /** Probation bookkeeping due by the clock: monitor cool-downs and
      *  canary kernels. */
     void runSdcDue();
-    /** Close a request's trace (root span + outcome) and record its
-     *  SLO observation. `terminal` names non-completed ends. */
-    void finishRequestTrace(ServeRequest &request, double end_ns,
-                            const char *terminal, bool erred);
-    TenantReport summarise(const TenantState &t, double horizon_ns) const;
+    /** End `request` in the ledger on its shard's serving track.
+     *  `instant` names non-completed ends; `wrong` marks a completion
+     *  that served silently corrupted results. */
+    void close(const ServeRequest &request, Terminal end, double end_ns,
+               const char *instant, bool wrong = false);
+    TenantReport summarise(unsigned tenant) const;
 
     ServeConfig config_;
+    RequestLedger ledger_;
+    /** Names of the tenants' bound serve counters (a deque never moves
+     *  its elements). */
+    std::deque<std::string> statNames_;
     std::unique_ptr<PimSystem> system_;
     ShardPlan plan_;
     std::vector<std::unique_ptr<PimDriver>> drivers_; ///< per tenant
@@ -416,7 +440,6 @@ class ServingEngine
     Rng retryRng_;
 
     std::vector<ServeRequest> completions_;
-    std::vector<SloObservation> sloObs_;
     TraceSession *trace_ = nullptr;
     RequestTracer *reqTracer_ = nullptr;
     double nowNs_ = 0.0;

@@ -78,13 +78,6 @@ PimSystem::updateDerivedStats()
 }
 
 void
-PimSystem::dumpStats(std::ostream &os)
-{
-    updateDerivedStats();
-    registry_.dumpText(os);
-}
-
-void
 PimSystem::dumpStatsJson(std::ostream &os)
 {
     updateDerivedStats();

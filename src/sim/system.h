@@ -157,8 +157,7 @@ class PimSystem
      */
     void updateDerivedStats();
 
-    /** updateDerivedStats() + registry text/JSON dump. */
-    void dumpStats(std::ostream &os);
+    /** updateDerivedStats() + registry JSON dump. */
     void dumpStatsJson(std::ostream &os);
 
     /**

@@ -5,6 +5,7 @@
  */
 
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -350,6 +351,61 @@ TEST(Histogram, ResetForgetsSamplesButKeepsShape)
     EXPECT_EQ(h.buckets()[1], 1u);
     EXPECT_EQ(h.min(), 17u);
     EXPECT_EQ(h.max(), 17u);
+}
+
+TEST(Histogram, MergeEqualsOneHistogramFedBothSampleSets)
+{
+    // Two sample sets of different spread, both with overflow samples
+    // (>= 640) and one with the smallest value.
+    Rng rng(0x3e6);
+    std::vector<std::uint64_t> a, b;
+    for (int i = 0; i < 300; ++i)
+        a.push_back(50 + rng.nextBelow(200));
+    for (int i = 0; i < 100; ++i)
+        b.push_back(rng.nextBelow(900));
+    a.push_back(5000);
+
+    Histogram ha(10, 64), hb(10, 64), both(10, 64);
+    for (std::uint64_t v : a) {
+        ha.sample(v);
+        both.sample(v);
+    }
+    for (std::uint64_t v : b) {
+        hb.sample(v);
+        both.sample(v);
+    }
+    ASSERT_GT(ha.overflow(), 0u);
+    ASSERT_GT(hb.overflow(), 0u);
+
+    ha.merge(hb);
+    EXPECT_EQ(ha.count(), both.count());
+    EXPECT_EQ(ha.overflow(), both.overflow());
+    EXPECT_EQ(ha.buckets(), both.buckets());
+    EXPECT_EQ(ha.min(), both.min());
+    EXPECT_EQ(ha.max(), both.max());
+    EXPECT_EQ(ha.mean(), both.mean());
+    EXPECT_EQ(ha.p50(), both.p50());
+    EXPECT_EQ(ha.p95(), both.p95());
+    EXPECT_EQ(ha.p99(), both.p99());
+
+    // Merging an empty histogram changes nothing; merging into one
+    // yields the other.
+    Histogram empty(10, 64), copy(10, 64);
+    ha.merge(empty);
+    EXPECT_EQ(ha.count(), both.count());
+    EXPECT_EQ(ha.min(), both.min());
+    copy.merge(both);
+    EXPECT_EQ(copy.buckets(), both.buckets());
+    EXPECT_EQ(copy.min(), both.min());
+    EXPECT_EQ(copy.p99(), both.p99());
+}
+
+TEST(HistogramDeathTest, MergeRejectsMismatchedShapes)
+{
+    Histogram h(10, 64);
+    const Histogram wider(20, 64), longer(10, 128);
+    EXPECT_DEATH(h.merge(wider), "different shapes");
+    EXPECT_DEATH(h.merge(longer), "different shapes");
 }
 
 TEST(StatGroup, ResetClearsRegisteredHistograms)

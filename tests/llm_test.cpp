@@ -539,6 +539,51 @@ TEST(LlmEngine, FaultedIterationsWasteWorkButConserveKv)
     EXPECT_EQ(r.kvBlocksAllocated, r.kvBlocksFreed);
 }
 
+TEST(LlmEngine, TotalLatenciesArePooledAcrossTenants)
+{
+    // Two tenants with short and long answers: the total is the summary
+    // of every completion pooled into one histogram of the engine's
+    // shape (not zeros, not a max over the tenants).
+    LlmEngineConfig cfg = smallConfig();
+    cfg.tenants = {LlmTenantSpec{"short", 0.0, 0},
+                   LlmTenantSpec{"long", 0.0, 0}};
+    LlmEngine engine(cfg);
+    for (unsigned i = 0; i < 12; ++i) {
+        ASSERT_TRUE(engine.submit(i % 2, i * 200'000.0, 16,
+                                  i % 2 == 0 ? 4 : 48));
+    }
+    engine.drain();
+
+    const Histogram &shape = engine.e2eHistogram(0);
+    Histogram ttft(shape.bucketWidth(), shape.buckets().size());
+    Histogram per_token = ttft, e2e = ttft;
+    for (const LlmRequest &r : engine.takeCompletions()) {
+        const double lat = std::max(0.0, r.completeNs - r.arrivalNs);
+        ttft.sample(static_cast<std::uint64_t>(
+            std::max(0.0, r.firstTokenNs - r.arrivalNs)));
+        per_token.sample(static_cast<std::uint64_t>(
+            lat / std::max(1u, r.outputTokens)));
+        e2e.sample(static_cast<std::uint64_t>(lat));
+    }
+    const LlmReport report = engine.report();
+    ASSERT_EQ(e2e.count(), report.total.completed);
+    ASSERT_EQ(report.total.completed, 12u);
+    const auto expect_pooled = [](const serve::LatencySummary &got,
+                                  const Histogram &want, const char *what) {
+        EXPECT_GT(got.meanNs, 0.0) << what;
+        EXPECT_GT(got.p50Ns, 0.0) << what;
+        EXPECT_GT(got.p95Ns, 0.0) << what;
+        EXPECT_EQ(got.meanNs, want.mean()) << what;
+        EXPECT_EQ(got.p50Ns, want.p50()) << what;
+        EXPECT_EQ(got.p95Ns, want.p95()) << what;
+        EXPECT_EQ(got.p99Ns, want.p99()) << what;
+        EXPECT_EQ(got.maxNs, static_cast<double>(want.max())) << what;
+    };
+    expect_pooled(report.total.ttft, ttft, "ttft");
+    expect_pooled(report.total.perToken, per_token, "perToken");
+    expect_pooled(report.total.e2e, e2e, "e2e");
+}
+
 TEST(LlmEngine, ContinuousBeatsAdmitOnceTtftUnderConcurrency)
 {
     // Two staggered requests: under AdmitOnce the second waits for the

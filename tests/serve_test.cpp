@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "serve/load_gen.h"
+#include "serve/request_ledger.h"
 #include "serve/request_queue.h"
 #include "serve/scheduler.h"
 #include "serve/service_model.h"
@@ -602,6 +606,139 @@ TEST(ServingEngine, ClosedLoopCompletesExactlyTheRequestedCount)
     EXPECT_EQ(report.total.rejected, 0u);
     EXPECT_EQ(report.tenants[0].completed, 20u);
     EXPECT_EQ(report.tenants[1].completed, 20u);
+}
+
+// ------------------------------------------------------------------
+// Request ledger and pooled totals
+// ------------------------------------------------------------------
+
+/** The summary fields of `h`, computed straight from the histogram. */
+LatencySummary
+summaryOf(const Histogram &h)
+{
+    LatencySummary s;
+    s.meanNs = h.mean();
+    s.p50Ns = h.p50();
+    s.p95Ns = h.p95();
+    s.p99Ns = h.p99();
+    s.maxNs = static_cast<double>(h.max());
+    return s;
+}
+
+void
+expectSameSummary(const LatencySummary &got, const LatencySummary &want,
+                  const char *what)
+{
+    EXPECT_EQ(got.meanNs, want.meanNs) << what;
+    EXPECT_EQ(got.p50Ns, want.p50Ns) << what;
+    EXPECT_EQ(got.p95Ns, want.p95Ns) << what;
+    EXPECT_EQ(got.p99Ns, want.p99Ns) << what;
+    EXPECT_EQ(got.maxNs, want.maxNs) << what;
+}
+
+TEST(ServingEngine, TotalLatenciesArePooledAcrossTenants)
+{
+    // GNMT and DS2 have very different service times, so the total's
+    // percentiles are those of the pooled completions, not a max over
+    // the two tenants.
+    ServeConfig config;
+    config.system = smallSystem();
+    config.tenants = {TenantSpec{"gnmt", gnmtApp(), 1.0},
+                      TenantSpec{"ds2", ds2App(), 1.0}};
+    config.sched.policy = SchedPolicy::BatchTimeout;
+    config.queue.depth = 256;
+    config.histBucketNs = 2'000'000; // resolves second-scale latencies
+    config.histBuckets = 16384;
+    config.timingCache = std::make_shared<ServiceTimeCache>();
+    ShardServiceModel probe(config.system, 16, config.timingCache);
+    const double svc_gnmt = probe.serviceNs(gnmtApp(), 1);
+    const double svc_ds2 = probe.serviceNs(ds2App(), 1);
+    config.sched.batchTimeoutNs = std::min(svc_gnmt, svc_ds2);
+
+    ServingEngine engine(config);
+    const double horizon = 40.0 * std::max(svc_gnmt, svc_ds2);
+    const auto arrivals = poissonArrivals(
+        {{0, 0.3e9 / svc_gnmt}, {1, 0.3e9 / svc_ds2}}, horizon, 11);
+    for (const Arrival &a : arrivals)
+        engine.submit(a.tenant, a.ns);
+    engine.drain();
+
+    Histogram queue(config.histBucketNs, config.histBuckets);
+    Histogram service = queue, e2e = queue;
+    const auto ns = [](double v) {
+        return static_cast<std::uint64_t>(std::llround(std::max(v, 0.0)));
+    };
+    for (const ServeRequest &r : engine.takeCompletions()) {
+        queue.sample(ns(r.queueNs()));
+        service.sample(ns(r.serviceNs()));
+        e2e.sample(ns(r.latencyNs()));
+    }
+    const ServeReport report = engine.report();
+    ASSERT_GT(report.tenants[0].completed, 0u);
+    ASSERT_GT(report.tenants[1].completed, 0u);
+    ASSERT_EQ(e2e.count(), report.total.completed);
+    expectSameSummary(report.total.queue, summaryOf(queue), "queue");
+    expectSameSummary(report.total.service, summaryOf(service), "service");
+    expectSameSummary(report.total.e2e, summaryOf(e2e), "e2e");
+    // The pooled median lies strictly between the tenants' medians.
+    EXPECT_LT(report.total.e2e.p50Ns,
+              std::max(report.tenants[0].e2e.p50Ns,
+                       report.tenants[1].e2e.p50Ns));
+}
+
+TEST(RequestLedger, CountsClosesAndPoolsTenants)
+{
+    RequestLedger ledger({"a", "b"}, {"latNs"}, 10, 100);
+    ledger.submit(0);
+    ledger.submit(0);
+    ledger.submit(1);
+    ledger.sample(0, 0, 100, 0);
+    ledger.sample(1, 0, 300, 0);
+    RequestEnd done;
+    done.tenant = 0;
+    done.deadlineNs = 50.0;
+    done.endNs = 80.0; // completed late: a bad observation
+    ledger.close(done);
+    RequestEnd shed;
+    shed.tenant = 1;
+    shed.terminal = Terminal::Shed;
+    shed.endNs = 90.0;
+    ledger.close(shed);
+
+    EXPECT_EQ(ledger.counts(0).completed, 1u);
+    EXPECT_EQ(ledger.counts(0).ended(), 1u);
+    EXPECT_EQ(ledger.counts(1).shed, 1u);
+    const auto obs = ledger.takeSloObservations();
+    ASSERT_EQ(obs.size(), 2u);
+    EXPECT_EQ(obs[0].tsNs, 80.0);
+    EXPECT_FALSE(obs[0].good);
+    EXPECT_FALSE(obs[1].good);
+    EXPECT_TRUE(ledger.takeSloObservations().empty());
+
+    EXPECT_EQ(ledger.pooledSummary(0).meanNs, 200.0);
+    EXPECT_EQ(ledger.pooledSummary(0).maxNs, 300.0);
+    EXPECT_EQ(ledger.summary(1, 0).p50Ns, 300.0);
+}
+
+TEST(RequestLedgerDeathTest, TerminalWithoutSubmissionAssertsAtTheCall)
+{
+    RequestLedger ledger({"a", "b"}, {"latNs"}, 10, 100);
+    ledger.submit(0);
+    RequestEnd end;
+    end.tenant = 1; // tenant b never submitted
+    end.terminal = Terminal::Rejected;
+    EXPECT_DEATH(ledger.close(end), "'b' ended a request it has not");
+
+    end.tenant = 0;
+    ledger.close(end);
+    EXPECT_DEATH(ledger.close(end), "'a' ended a request it has not");
+}
+
+TEST(RequestLedgerDeathTest, DrainWithOutstandingSubmissionAsserts)
+{
+    RequestLedger ledger({"a"}, {"latNs"}, 10, 100);
+    ledger.submit(0);
+    EXPECT_DEATH(ledger.assertDrained(), "accounting leak for 'a'");
 }
 
 } // namespace
