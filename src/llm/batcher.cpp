@@ -1,6 +1,7 @@
 #include "llm/batcher.h"
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 
 #include "common/logging.h"
@@ -29,11 +30,13 @@ olderThan(const LlmRequest &a, const LlmRequest &b)
     return std::tie(a.arrivalNs, a.id) < std::tie(b.arrivalNs, b.id);
 }
 
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
 } // namespace
 
 ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config,
                                      KvCacheManager &kv)
-    : config_(config), kv_(kv)
+    : config_(config), kv_(kv), earliestDeadline_(kNoDeadline)
 {
     PIMSIM_ASSERT(config_.maxBatch >= 1, "zero batch size");
     PIMSIM_ASSERT(config_.maxQueue >= 1, "zero queue depth");
@@ -46,6 +49,15 @@ ContinuousBatcher::admit(LlmRequest request)
         ++queueRejects_;
         return false;
     }
+    enqueue(std::move(request));
+    return true;
+}
+
+void
+ContinuousBatcher::enqueue(LlmRequest request)
+{
+    if (request.hasDeadline())
+        earliestDeadline_ = std::min(earliestDeadline_, request.deadlineNs);
     // Arrivals come time-ordered, so this is normally push_back; the
     // sorted insert keeps the age invariant unconditional.
     const auto pos = std::lower_bound(
@@ -54,7 +66,6 @@ ContinuousBatcher::admit(LlmRequest request)
             return olderThan(a, b);
         });
     waiting_.insert(pos, std::move(request));
-    return true;
 }
 
 bool
@@ -80,6 +91,8 @@ ContinuousBatcher::beginIteration(double now, std::vector<LlmRequest> &joined)
             kv_.release(seq);
             break;
         }
+        if (head.hasDeadline() && head.deadlineNs <= earliestDeadline_)
+            earliestDeadlineStale_ = true;
         LlmRequest req = std::move(head);
         waiting_.pop_front();
         req.kvSeq = seq;
@@ -96,24 +109,7 @@ ContinuousBatcher::beginIteration(double now, std::vector<LlmRequest> &joined)
         running_.insert(pos, std::move(req));
     }
 
-    // Decode-capacity pass: every member must be able to append one
-    // token this iteration. Under pressure the youngest member is
-    // evicted and requeued; the oldest is never a victim while anyone
-    // younger runs, which is what makes the scheme starvation-free.
-    std::size_t i = 0;
-    while (i < running_.size()) {
-        if (kv_.reserve(running_[i].kvSeq,
-                        std::uint64_t{running_[i].contextTokens()} + 1)) {
-            ++i;
-            continue;
-        }
-        PIMSIM_ASSERT(running_.size() > 1,
-                      "sole running request cannot grow its KV cache; "
-                      "admission feasibility check was bypassed");
-        preemptYoungest();
-        // If the victim was the failing member itself, i now points
-        // past the shrunk batch and the loop terminates naturally.
-    }
+    reserveNextToken(now);
 
     for (const std::uint64_t id : joined_ids)
         for (const LlmRequest &r : running_)
@@ -125,6 +121,68 @@ ContinuousBatcher::beginIteration(double now, std::vector<LlmRequest> &joined)
     if (config_.policy == BatchPolicy::AdmitOnce && !joined_ids.empty())
         waveBatch_ = static_cast<unsigned>(running_.size());
     return !running_.empty();
+}
+
+bool
+ContinuousBatcher::reserveNextToken(double now)
+{
+    nowNs_ = now;
+    // Decode-capacity pass: every member must be able to append one
+    // token this iteration. Under pressure the youngest member is
+    // evicted and requeued; the oldest is never a victim while anyone
+    // younger runs, which is what makes the scheme starvation-free.
+    bool evicted = false;
+    std::size_t i = 0;
+    while (i < running_.size()) {
+        if (kv_.reserve(running_[i].kvSeq,
+                        std::uint64_t{running_[i].contextTokens()} + 1)) {
+            ++i;
+            continue;
+        }
+        PIMSIM_ASSERT(running_.size() > 1,
+                      "sole running request cannot grow its KV cache; "
+                      "admission feasibility check was bypassed");
+        preemptYoungest();
+        evicted = true;
+        // If the victim was the failing member itself, i now points
+        // past the shrunk batch and the loop terminates naturally.
+    }
+    return !evicted;
+}
+
+void
+ContinuousBatcher::finishSteadyIteration()
+{
+    for (LlmRequest &r : running_)
+        ++r.decoded;
+}
+
+std::uint64_t
+ContinuousBatcher::iterationsBeforeLeave() const
+{
+    std::uint64_t n = std::numeric_limits<std::uint64_t>::max();
+    for (const LlmRequest &r : running_) {
+        if (r.firstTokenNs < 0.0)
+            return 0;
+        n = std::min<std::uint64_t>(n, r.outputTokens - r.decoded - 1);
+    }
+    return n;
+}
+
+std::uint64_t
+ContinuousBatcher::iterationsBeforeKvGrowth() const
+{
+    std::uint64_t n = std::numeric_limits<std::uint64_t>::max();
+    for (const LlmRequest &r : running_) {
+        // reserveNextToken() already holds contextTokens() + 1; each
+        // boundary adds a token, and the one past the last block grows.
+        const std::uint64_t held =
+            kv_.seqBlocks(r.kvSeq) * kv_.blockTokens();
+        const std::uint64_t need = std::uint64_t{r.contextTokens()} + 1;
+        PIMSIM_ASSERT(held >= need, "member decodes past its KV blocks");
+        n = std::min(n, held - need);
+    }
+    return n;
 }
 
 std::vector<LlmRequest>
@@ -156,6 +214,8 @@ std::vector<LlmRequest>
 ContinuousBatcher::expireQueued(double now)
 {
     std::vector<LlmRequest> expired;
+    if (earliestQueuedDeadline() > now)
+        return expired;
     for (auto it = waiting_.begin(); it != waiting_.end();) {
         if (it->hasDeadline() && it->deadlineNs <= now) {
             expired.push_back(std::move(*it));
@@ -164,7 +224,21 @@ ContinuousBatcher::expireQueued(double now)
             ++it;
         }
     }
+    earliestDeadlineStale_ = true;
     return expired;
+}
+
+double
+ContinuousBatcher::earliestQueuedDeadline()
+{
+    if (earliestDeadlineStale_) {
+        earliestDeadline_ = kNoDeadline;
+        for (const LlmRequest &r : waiting_)
+            if (r.hasDeadline())
+                earliestDeadline_ = std::min(earliestDeadline_, r.deadlineNs);
+        earliestDeadlineStale_ = false;
+    }
+    return earliestDeadline_;
 }
 
 void
@@ -197,12 +271,7 @@ ContinuousBatcher::preemptYoungest()
     // Requeue at the age-correct position — for the youngest running
     // member that is the queue front, ahead of everything that arrived
     // after it joined.
-    const auto pos = std::lower_bound(
-        waiting_.begin(), waiting_.end(), victim,
-        [](const LlmRequest &a, const LlmRequest &b) {
-            return olderThan(a, b);
-        });
-    waiting_.insert(pos, std::move(victim));
+    enqueue(std::move(victim));
 }
 
 } // namespace pimsim::llm

@@ -111,10 +111,52 @@ class ContinuousBatcher
     std::vector<LlmRequest> finishIteration(double end_ns);
 
     /**
+     * The decode-capacity pass of beginIteration() on its own: reserve
+     * one more token for every member, oldest first, evicting the
+     * youngest member whenever a reservation fails.
+     * @return false when some member was evicted.
+     */
+    bool reserveNextToken(double now);
+
+    /**
+     * finishIteration() for an iteration in which no member finishes
+     * or produces its first token: every member's decoded count
+     * advances and nothing else changes. Callers bound such runs with
+     * iterationsBeforeLeave().
+     */
+    void finishSteadyIteration();
+
+    /** Whether beginIteration() would try to seat a waiter. */
+    bool joinable() const
+    {
+        if (waiting_.empty())
+            return false;
+        return config_.policy == BatchPolicy::Continuous
+                   ? running_.size() < config_.maxBatch
+                   : running_.empty();
+    }
+
+    /**
+     * Iteration boundaries the batch can cross before a member leaves
+     * (finishIteration() would complete it); 0 while a member still
+     * waits for its first token, whose boundary has its own effects.
+     */
+    std::uint64_t iterationsBeforeLeave() const;
+
+    /**
+     * Iteration boundaries the batch can cross, each followed by
+     * reserveNextToken(), before some member needs a new KV block.
+     */
+    std::uint64_t iterationsBeforeKvGrowth() const;
+
+    /**
      * Drop queued requests whose deadline has passed (shed before
      * spending any decode work on them). Returns the dropped requests.
      */
     std::vector<LlmRequest> expireQueued(double now);
+
+    /** Earliest deadline in the wait queue (+inf when none has one). */
+    double earliestQueuedDeadline();
 
     bool idle() const { return running_.empty() && waiting_.empty(); }
     std::size_t runningSize() const { return running_.size(); }
@@ -155,6 +197,8 @@ class ContinuousBatcher
   private:
     /** Evict the youngest running member; requeue front, age-ordered. */
     void preemptYoungest();
+    /** Insert into the wait queue at its age position. */
+    void enqueue(LlmRequest request);
 
     BatcherConfig config_;
     KvCacheManager &kv_;
@@ -163,6 +207,9 @@ class ContinuousBatcher
     std::deque<LlmRequest> waiting_; ///< FCFS by arrival (age order)
     std::vector<LlmRequest> running_; ///< age order (oldest first)
     unsigned waveBatch_ = 0; ///< AdmitOnce: padded size of current wave
+    /** Earliest queued deadline; recomputed lazily once stale. */
+    double earliestDeadline_;
+    bool earliestDeadlineStale_ = false;
 
     std::uint64_t joins_ = 0;
     std::uint64_t rejoins_ = 0;

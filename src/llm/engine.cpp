@@ -155,12 +155,7 @@ void
 LlmEngine::advanceTo(double ns)
 {
     PIMSIM_ASSERT(ns >= nowNs_, "time ran backwards");
-    while (iterationInFlight_ && iterationEndNs_ <= ns) {
-        nowNs_ = iterationEndNs_;
-        finishIteration();
-        expireDue();
-        dispatch();
-    }
+    runUntil(ns);
     nowNs_ = std::max(nowNs_, ns);
     expireDue();
     if (!iterationInFlight_)
@@ -170,21 +165,89 @@ LlmEngine::advanceTo(double ns)
 void
 LlmEngine::drain()
 {
-    while (true) {
-        expireDue();
-        if (!iterationInFlight_)
-            dispatch();
-        const double next = nextEventNs();
-        if (next == serve::kNoEventNs)
-            break;
-        advanceTo(next);
-    }
+    expireDue();
+    if (!iterationInFlight_)
+        dispatch();
+    runUntil(serve::kNoEventNs);
     PIMSIM_ASSERT(batcher_->idle(), "drain left work behind");
     PIMSIM_ASSERT(kv_->liveSeqs() == 0, "drain left ", kv_->liveSeqs(),
                   " live KV sequences");
     batcher_->reconcile();
     kv_->reconcile();
     ledger_.assertDrained();
+}
+
+void
+LlmEngine::runUntil(double ns)
+{
+    planLeap();
+    bool leapt = false;
+    while (iterationInFlight_ && iterationEndNs_ <= ns) {
+        nowNs_ = iterationEndNs_;
+        const bool faulted =
+            faults_ != nullptr &&
+            faults_->faultEvents(0, iterationStartNs_, nowNs_) > 0;
+        if (!faulted && leapLeft_ > 0 && nowNs_ < leapDeadlineNs_) {
+            leapIteration();
+            leapt = true;
+            continue;
+        }
+        finishIteration(faulted);
+        expireDue();
+        dispatch();
+        planLeap();
+    }
+    // Leap iterations reserve KV only where a block fills up; bring
+    // every member's reserved token count to what the full capacity
+    // pass of the in-flight iteration would have left (no block moves).
+    if (leapt && iterationInFlight_) {
+        const bool kept = batcher_->reserveNextToken(iterationStartNs_);
+        PIMSIM_ASSERT(kept, "KV token sync evicted a member");
+    }
+}
+
+void
+LlmEngine::planLeap()
+{
+    leapLeft_ = 0;
+    // A prefill priced into the in-flight iteration, or a waiter that
+    // may join at its end, makes the next iteration differ.
+    if (!iterationInFlight_ || !lastJoined_.empty() || batcher_->joinable())
+        return;
+    std::uint64_t left = batcher_->iterationsBeforeLeave();
+    for (const LlmRequest &r : batcher_->running()) {
+        // The member's attention price holds while its context stays
+        // inside the bucket it was priced at.
+        const AttnMemo &m = attnMemo_[r.kvSeq.slot];
+        PIMSIM_ASSERT(m.seq == r.kvSeq && r.contextTokens() <= m.bucketEnd,
+                      "running member is not priced at its context");
+        left = std::min<std::uint64_t>(left, m.bucketEnd - r.contextTokens());
+    }
+    if (left == 0)
+        return;
+    growIn_ = batcher_->iterationsBeforeKvGrowth();
+    leapDeadlineNs_ = batcher_->earliestQueuedDeadline();
+    leapLeft_ = left;
+}
+
+void
+LlmEngine::leapIteration()
+{
+    recordIteration(/*faulted=*/false);
+    batcher_->finishSteadyIteration();
+    --leapLeft_;
+    if (growIn_ > 0) {
+        --growIn_;
+    } else if (batcher_->reserveNextToken(nowNs_)) {
+        growIn_ = batcher_->iterationsBeforeKvGrowth();
+    } else {
+        // A failed growth evicted the youngest member: the batch
+        // changed, so price it afresh and end the leap.
+        iterationDurNs_ = iterationNs({});
+        leapLeft_ = 0;
+    }
+    iterationStartNs_ = nowNs_;
+    iterationEndNs_ = nowNs_ + iterationDurNs_;
 }
 
 double
@@ -229,8 +292,21 @@ LlmEngine::iterationNs(const std::vector<LlmRequest> &joined)
     // for its padding slots until the longest member finishes.
     ns += cost_->ffnNs(batcher_->costBatch());
     for (const LlmRequest &r : batcher_->running())
-        ns += cost_->attnNs(r.contextTokens());
+        ns += attnNs(r);
     return ns;
+}
+
+double
+LlmEngine::attnNs(const LlmRequest &member)
+{
+    const unsigned ctx = member.contextTokens();
+    if (member.kvSeq.slot >= attnMemo_.size())
+        attnMemo_.resize(member.kvSeq.slot + 1);
+    AttnMemo &m = attnMemo_[member.kvSeq.slot];
+    if (!(m.seq == member.kvSeq) || ctx > m.bucketEnd)
+        m = {member.kvSeq, ctxBucket(ctx, config_.ctxGranule),
+             cost_->attnNs(ctx)};
+    return m.ns;
 }
 
 double
@@ -262,25 +338,38 @@ LlmEngine::dispatch()
                              kTracePidLlm, 0, nowNs_);
         }
     }
-    const double dur = iterationNs(lastJoined_);
+    iterationDurNs_ = iterationNs(lastJoined_);
     iterationStartNs_ = nowNs_;
-    iterationEndNs_ = nowNs_ + dur;
+    iterationEndNs_ = nowNs_ + iterationDurNs_;
     iterationInFlight_ = true;
 }
 
 void
-LlmEngine::finishIteration()
+LlmEngine::finishIteration(bool faulted)
 {
     PIMSIM_ASSERT(iterationInFlight_, "finish without an iteration");
     iterationInFlight_ = false;
+    recordIteration(faulted);
+    lastJoined_.clear();
+    if (faulted) {
+        // The fault struck mid-iteration: the batch's token is lost and
+        // the same iteration re-runs (KV state is intact — AB-mode rows
+        // are re-written by the retry).
+        ++faultedIterations_;
+        return;
+    }
+    for (LlmRequest &done : batcher_->finishIteration(iterationEndNs_))
+        recordCompletion(done);
+}
+
+void
+LlmEngine::recordIteration(bool faulted)
+{
     const double start = iterationStartNs_;
     const double end = iterationEndNs_;
     const std::uint64_t batch = batcher_->runningSize();
     ++iterations_;
     batchTokenSum_ += batch;
-
-    const bool faulted =
-        faults_ != nullptr && faults_->faultEvents(0, start, end) > 0;
     if (trace_ != nullptr) {
         trace_->span(kTracePidLlm, 0,
                      faulted ? "decode-iter(fault)" : "decode-iter", "llm",
@@ -305,16 +394,6 @@ LlmEngine::finishIteration()
                                     "first-token", "token", end);
         }
     }
-    lastJoined_.clear();
-    if (faulted) {
-        // The fault struck mid-iteration: the batch's token is lost and
-        // the same iteration re-runs (KV state is intact — AB-mode rows
-        // are re-written by the retry).
-        ++faultedIterations_;
-        return;
-    }
-    for (LlmRequest &done : batcher_->finishIteration(end))
-        recordCompletion(done);
 }
 
 void

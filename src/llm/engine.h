@@ -28,6 +28,11 @@
  * reconciles to the block (allocated == freed + resident, zero live
  * sequences).
  *
+ * Between a join, a leave, a KV-block and a context-bucket boundary,
+ * consecutive iterations are identical; the engine crosses such a run
+ * (a *leap*) without re-forming or re-pricing the batch, with the same
+ * timestamps and observer output as one full step per iteration.
+ *
  * Determinism: no randomness lives in the engine at all — identical
  * submission sequences replay to bit-identical reports.
  */
@@ -251,15 +256,40 @@ class LlmEngine
         std::uint64_t goodTokens = 0; ///< tokens of SLO-met completions
     };
 
+    /** A running member's attention price at the context bucket it
+     *  was priced at; valid while its context stays <= bucketEnd. */
+    struct AttnMemo
+    {
+        KvSeqId seq;
+        unsigned bucketEnd = 0;
+        double ns = 0.0;
+    };
+
     /** Price one iteration of the current batch starting at `now`. */
     double iterationNs(const std::vector<LlmRequest> &joined);
+    /** One member's attention price, re-priced only on a new bucket. */
+    double attnNs(const LlmRequest &member);
     /** Optimistic completion estimate for deadline admission. */
     double estimateNs(unsigned prompt, unsigned output);
 
+    /** Finish every iteration due by `ns`, leaping where it can. */
+    void runUntil(double ns);
+    /**
+     * Bound the leap that may follow the in-flight iteration: the
+     * number of upcoming iteration boundaries at which no member
+     * leaves or produces its first token, no waiter can join and no
+     * member's context leaves its priced bucket (0 = full step).
+     */
+    void planLeap();
+    /** Cross one boundary of the planned leap: record the finished
+     *  iteration, advance every member a token, start the next. */
+    void leapIteration();
     /** Start the next iteration if any work is runnable. */
     void dispatch();
-    /** Finish the in-flight iteration (fault check, token accounting). */
-    void finishIteration();
+    /** Finish the in-flight iteration (token accounting, leaves). */
+    void finishIteration(bool faulted);
+    /** Count the in-flight iteration and emit its observer spans. */
+    void recordIteration(bool faulted);
     /** Time out queued requests whose deadline has passed. */
     void expireDue();
     void recordCompletion(const LlmRequest &request);
@@ -287,7 +317,18 @@ class LlmEngine
     bool iterationInFlight_ = false;
     double iterationStartNs_ = 0.0;
     double iterationEndNs_ = 0.0;
+    double iterationDurNs_ = 0.0; ///< price of the in-flight iteration
     std::vector<LlmRequest> lastJoined_;
+    /** Indexed by KvSeqId::slot. */
+    std::vector<AttnMemo> attnMemo_;
+
+    /** Boundaries left in the planned leap. */
+    std::uint64_t leapLeft_ = 0;
+    /** Leap boundaries before some member needs a new KV block. */
+    std::uint64_t growIn_ = 0;
+    /** Earliest queued deadline at planning; a boundary at or past it
+     *  expires waiters and so is a full step. */
+    double leapDeadlineNs_ = 0.0;
 
     std::uint64_t iterations_ = 0;
     std::uint64_t faultedIterations_ = 0;

@@ -54,20 +54,38 @@ KvSeqId
 KvCacheManager::createSeq(unsigned tenant)
 {
     PIMSIM_ASSERT(tenant < tenants_.size(), "tenant out of range");
-    const KvSeqId id{nextSeq_++};
-    Sequence seq;
-    seq.tenant = tenant;
-    seqs_.emplace(id, std::move(seq));
-    return id;
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Sequence &s = slots_[slot];
+    PIMSIM_ASSERT(s.generation != ~std::uint32_t{0},
+                  "KV slot generation wrapped");
+    ++s.generation;
+    s.live = true;
+    s.tenant = tenant;
+    s.tokens = 0;
+    return KvSeqId{slot, s.generation};
+}
+
+void
+KvCacheManager::checkLive(KvSeqId seq, const char *what) const
+{
+    PIMSIM_ASSERT(seq.slot < slots_.size() && slots_[seq.slot].live &&
+                      slots_[seq.slot].generation == seq.generation,
+                  what, " of unknown KV sequence ", seq.slot, "/",
+                  seq.generation);
 }
 
 bool
 KvCacheManager::reserve(KvSeqId seq, std::uint64_t tokens)
 {
-    const auto it = seqs_.find(seq);
-    PIMSIM_ASSERT(it != seqs_.end(), "reserve on unknown KV sequence ",
-                  seq.value);
-    Sequence &s = it->second;
+    checkLive(seq, "reserve");
+    Sequence &s = slots_[seq.slot];
     const std::uint64_t want = blocksFor(tokens);
     const std::uint64_t have = s.blocks.size();
     if (want <= have) {
@@ -112,10 +130,8 @@ KvCacheManager::reserve(KvSeqId seq, std::uint64_t tokens)
 void
 KvCacheManager::release(KvSeqId seq)
 {
-    const auto it = seqs_.find(seq);
-    PIMSIM_ASSERT(it != seqs_.end(), "release of unknown KV sequence ",
-                  seq.value);
-    Sequence &s = it->second;
+    checkLive(seq, "release");
+    Sequence &s = slots_[seq.slot];
     PimDriver &driver = *tenants_[s.tenant];
     const std::uint64_t count = s.blocks.size();
     for (const PimRowBlock &b : s.blocks) {
@@ -130,16 +146,16 @@ KvCacheManager::release(KvSeqId seq)
                   "resident underflow on KV release");
     residentBlocks_ -= count;
     residentPerTenant_[s.tenant] -= count;
-    seqs_.erase(it);
+    s.blocks.clear(); // keeps its capacity for the slot's next sequence
+    s.live = false;
+    freeSlots_.push_back(seq.slot);
 }
 
 std::uint64_t
 KvCacheManager::seqBlocks(KvSeqId seq) const
 {
-    const auto it = seqs_.find(seq);
-    PIMSIM_ASSERT(it != seqs_.end(), "seqBlocks of unknown KV sequence ",
-                  seq.value);
-    return it->second.blocks.size();
+    checkLive(seq, "seqBlocks");
+    return slots_[seq.slot].blocks.size();
 }
 
 std::uint64_t
@@ -157,7 +173,7 @@ KvCacheManager::reconcile() const
                   " != freed ", blocksFreed_, " + resident ",
                   residentBlocks_);
     std::uint64_t chained = 0;
-    for (const auto &[id, s] : seqs_)
+    for (const Sequence &s : slots_)
         chained += s.blocks.size();
     PIMSIM_ASSERT(chained == residentBlocks_,
                   "KV chain total ", chained, " != resident counter ",
@@ -180,7 +196,7 @@ KvCacheManager::statsGroup()
     stats_.add("allocFailures", allocFailures_);
     stats_.add("residentBlocks", residentBlocks_);
     stats_.add("peakResidentBlocks", peakResident_);
-    stats_.add("liveSeqs", seqs_.size());
+    stats_.add("liveSeqs", liveSeqs());
     stats_.set("rowsPerBlock", static_cast<double>(rowsPerBlock_));
     std::uint64_t free_rows = 0;
     unsigned largest_extent = 0;
@@ -197,7 +213,7 @@ KvCacheManager::statsGroup()
     // sequences that own it (last-block slack).
     std::uint64_t capacity_tokens = 0;
     std::uint64_t used_tokens = 0;
-    for (const auto &[id, s] : seqs_) {
+    for (const Sequence &s : slots_) {
         capacity_tokens += s.blocks.size() * config_.blockTokens;
         used_tokens += std::min<std::uint64_t>(
             s.tokens, s.blocks.size() * config_.blockTokens);

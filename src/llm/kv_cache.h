@@ -26,7 +26,6 @@
 #define PIMSIM_LLM_KV_CACHE_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -44,12 +43,17 @@ struct KvCacheConfig
     unsigned blockTokens = 32;
 };
 
-/** Opaque handle to one sequence's block chain. */
+/**
+ * Opaque handle to one sequence's block chain: a dense slot index plus
+ * the slot's generation. Slots are reused after release; the
+ * generation makes a released handle stale instead of an alias of the
+ * slot's next sequence. Generation 0 is never issued (the null id).
+ */
 struct KvSeqId
 {
-    std::uint64_t value = 0;
-    bool operator<(const KvSeqId &o) const { return value < o.value; }
-    bool operator==(const KvSeqId &o) const { return value == o.value; }
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+    bool operator==(const KvSeqId &) const = default;
 };
 
 /** Paged KV-cache allocator (one per LLM engine). */
@@ -109,7 +113,7 @@ class KvCacheManager
     std::uint64_t peakResidentBlocks() const { return peakResident_; }
 
     /** Live sequences (for leak checks at drain). */
-    std::size_t liveSeqs() const { return seqs_.size(); }
+    std::size_t liveSeqs() const { return slots_.size() - freeSlots_.size(); }
 
     /**
      * PIMSIM_ASSERTs allocated == freed + resident, globally and per
@@ -128,7 +132,12 @@ class KvCacheManager
         unsigned tenant = 0;
         std::uint64_t tokens = 0;
         std::vector<PimRowBlock> blocks;
+        std::uint32_t generation = 0; ///< of the live or last sequence
+        bool live = false;
     };
+
+    /** PIMSIM_ASSERTs `seq` names a live sequence, not a stale id. */
+    void checkLive(KvSeqId seq, const char *what) const;
 
     DecoderSpec spec_;
     KvCacheConfig config_;
@@ -136,8 +145,9 @@ class KvCacheManager
     std::vector<PimDriver *> tenants_;
     std::vector<std::uint64_t> blockCaps_;
 
-    std::map<KvSeqId, Sequence> seqs_;
-    std::uint64_t nextSeq_ = 1;
+    /** Indexed by KvSeqId::slot; released slots are reused LIFO. */
+    std::vector<Sequence> slots_;
+    std::vector<std::uint32_t> freeSlots_;
 
     std::uint64_t blocksAllocated_ = 0;
     std::uint64_t blocksFreed_ = 0;

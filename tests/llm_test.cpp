@@ -252,6 +252,23 @@ TEST(KvCacheDeathTest, DoubleReleaseAsserts)
     EXPECT_DEATH(f.kv->release(s), "");
 }
 
+TEST(KvCacheDeathTest, StaleIdOfAReusedSlotAsserts)
+{
+    KvFixture f;
+    const KvSeqId stale = f.kv->createSeq(0);
+    f.kv->release(stale);
+    // The next sequence reuses the slot; the old id must not alias it.
+    const KvSeqId fresh = f.kv->createSeq(0);
+    ASSERT_EQ(fresh.slot, stale.slot);
+    ASSERT_TRUE(f.kv->reserve(fresh, 1));
+    EXPECT_DEATH(f.kv->reserve(stale, 1), "unknown KV sequence");
+    EXPECT_DEATH(f.kv->release(stale), "unknown KV sequence");
+    EXPECT_DEATH(f.kv->seqBlocks(stale), "unknown KV sequence");
+    EXPECT_EQ(f.kv->seqBlocks(fresh), 1u);
+    f.kv->release(fresh);
+    f.kv->reconcile();
+}
+
 // ------------------------------------------------------------------
 // Batcher invariants
 // ------------------------------------------------------------------
