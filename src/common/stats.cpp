@@ -43,6 +43,15 @@ StatGroup::merge(const StatGroup &other)
 }
 
 void
+StatGroup::copyValuesFrom(const StatGroup &other)
+{
+    for (const auto &kv : other.counters_)
+        counters_[kv.first] = kv.second;
+    for (const auto &kv : other.scalars_)
+        scalars_[kv.first] = kv.second;
+}
+
+void
 StatGroup::dump(std::ostream &os) const
 {
     const std::string prefix = name_.empty() ? "" : name_ + ".";

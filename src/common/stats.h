@@ -74,6 +74,14 @@ class StatGroup
     /** Merge another group's stats into this one (sums). */
     void merge(const StatGroup &other);
 
+    /**
+     * Overwrite every counter and scalar with `other`'s value, creating
+     * the entries this group lacks. Entries are updated in place, never
+     * removed, so bound StatCounter handles stay valid (a channel mirror,
+     * PimSystem replay).
+     */
+    void copyValuesFrom(const StatGroup &other);
+
     const std::string &name() const { return name_; }
     const std::map<std::string, std::uint64_t> &counters() const
     {

@@ -18,6 +18,21 @@ DataStore::DataStore(const HbmGeometry &geom)
                   " banks per pseudo channel");
 }
 
+void
+DataStore::copyStateFrom(const DataStore &other)
+{
+    for (const auto &[k, storage] : other.rows_)
+        rows_[k] = storage;
+    PIMSIM_ASSERT(rows_.size() == other.rows_.size(),
+                  "DataStore copy target holds rows its source lacks");
+    // The slots cache pointers into rows_; start the cache cold.
+    slots_.fill(RowSlot{});
+    stuck_ = other.stuck_;
+    stuckCount_ = other.stuckCount_;
+    eccCorrected_ = other.eccCorrected_;
+    eccUncorrectable_ = other.eccUncorrectable_;
+}
+
 std::uint8_t *
 DataStore::findRow(unsigned bank, unsigned row) const
 {

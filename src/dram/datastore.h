@@ -64,6 +64,15 @@ class DataStore
     DataStore &operator=(const DataStore &) = delete;
 
     /**
+     * Become a copy of `other` (same geometry): rows, stuck cells and
+     * ECC counts. The ECC hook is this store's own and is kept. Rows
+     * this store already holds are overwritten in place; `other` must
+     * hold every one of them (stores of mirrored channels only grow
+     * together).
+     */
+    void copyStateFrom(const DataStore &other);
+
+    /**
      * Read one burst from (flat bank, row, col). Unwritten rows read 0.
      * With on-die ECC, single-bit faults are corrected in the returned
      * data (the stored copy keeps the fault until scrubbed) and the

@@ -17,6 +17,28 @@ PseudoChannel::PseudoChannel(const HbmGeometry &geom, const HbmTiming &timing,
 {
 }
 
+void
+PseudoChannel::copyStateFrom(const PseudoChannel &other)
+{
+    banks_ = other.banks_;
+    data_.copyStateFrom(other.data_);
+    allBank_ = other.allBank_;
+    pimModeActive_ = other.pimModeActive_;
+    busBusyUntil_ = other.busBusyUntil_;
+    nextRdGlobal_ = other.nextRdGlobal_;
+    nextWrGlobal_ = other.nextWrGlobal_;
+    nextRdPerBg_ = other.nextRdPerBg_;
+    nextWrPerBg_ = other.nextWrPerBg_;
+    nextActPerBg_ = other.nextActPerBg_;
+    nextActGlobal_ = other.nextActGlobal_;
+    actWindow_ = other.actWindow_;
+    actOldest_ = other.actOldest_;
+    actCount_ = other.actCount_;
+    lastWrDataEnd_ = other.lastWrDataEnd_;
+    lastRdDataEnd_ = other.lastRdDataEnd_;
+    stats_.copyValuesFrom(other.stats_);
+}
+
 PseudoChannel::BankSpan
 PseudoChannel::targetBanks(const Command &cmd) const
 {

@@ -85,6 +85,13 @@ class PseudoChannel
     PseudoChannel(const HbmGeometry &geom, const HbmTiming &timing,
                   std::string stat_name = "pch");
 
+    /**
+     * Become a copy of `other` (same geometry and timing): bank and bus
+     * timers, mode flags, DataStore contents and every stats value. The
+     * identity stays: interceptor, trace hooks and stat handles.
+     */
+    void copyStateFrom(const PseudoChannel &other);
+
     /** Earliest cycle >= now at which cmd could legally issue. */
     Cycle earliestIssue(const Command &cmd, Cycle now) const;
 
@@ -158,6 +165,9 @@ class PseudoChannel
         traceSession_ = session;
         traceTid_ = track_tid;
     }
+
+    /** True iff a command trace (stream or session) is attached. */
+    bool traced() const { return trace_ || traceSession_; }
 
   private:
     Cycle earliestAct(unsigned flat_bank, Cycle now) const;

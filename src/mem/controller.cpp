@@ -83,6 +83,38 @@ MemoryController::MemoryController(const HbmGeometry &geom,
 }
 
 void
+MemoryController::copyStateFrom(const MemoryController &other)
+{
+    PIMSIM_ASSERT(!pimChannel_ == !other.pimChannel_,
+                  "copying controller state across PIM and plain HBM");
+    config_ = other.config_;
+    channel_->copyStateFrom(*other.channel_);
+    if (pimChannel_)
+        pimChannel_->copyStateFrom(*other.pimChannel_);
+    slots_ = other.slots_;
+    burstCount_ = other.burstCount_;
+    burstShift_ = other.burstShift_;
+    freeSlot_ = other.freeSlot_;
+    queued_ = other.queued_;
+    nextSeq_ = other.nextSeq_;
+    age_ = other.age_;
+    kinds_ = other.kinds_;
+    banks_ = other.banks_;
+    orderedEdge_ = other.orderedEdge_;
+    reorderEdge_ = other.reorderEdge_;
+    pick_ = other.pick_;
+    pickStale_ = other.pickStale_;
+    pendingResponses_ = other.pendingResponses_;
+    nextRefresh_ = other.nextRefresh_;
+    refreshing_ = other.refreshing_;
+    lastColWasWrite_ = other.lastColWasWrite_;
+    lastNow_ = other.lastNow_;
+    nextScrub_ = other.nextScrub_;
+    scrubPos_ = other.scrubPos_;
+    stats_.copyValuesFrom(other.stats_);
+}
+
+void
 MemoryController::setOrderedWindow(unsigned window)
 {
     PIMSIM_ASSERT(window >= 1, "orderedWindow must be >= 1");

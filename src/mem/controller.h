@@ -76,6 +76,15 @@ class MemoryController
     MemoryController(const MemoryController &) = delete;
     MemoryController &operator=(const MemoryController &) = delete;
 
+    /**
+     * Become a copy of `other` (same geometry, timing and PIM presence):
+     * queue and slots, scheduler caches, pending responses, refresh and
+     * scrub state, config, the device and PIM state below, and every
+     * stats value. The identity stays: channel id, error sink and stat
+     * handles.
+     */
+    void copyStateFrom(const MemoryController &other);
+
     /** True if another request can be accepted. */
     bool canEnqueue() const { return queued_ < config_.queueDepth; }
 

@@ -47,6 +47,16 @@ PimChannel::PimChannel(const PimConfig &config, PseudoChannel &pch)
     pch_.setInterceptor(this);
 }
 
+void
+PimChannel::copyStateFrom(const PimChannel &other)
+{
+    mode_ = other.mode_;
+    pending_ = other.pending_;
+    for (std::size_t u = 0; u < units_.size(); ++u)
+        units_[u]->copyStateFrom(*other.units_[u]);
+    stats_.copyValuesFrom(other.stats_);
+}
+
 bool
 PimChannel::allUnitsHalted() const
 {

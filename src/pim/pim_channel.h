@@ -48,6 +48,12 @@ class PimChannel : public ColumnInterceptor
     PimChannel(const PimChannel &) = delete;
     PimChannel &operator=(const PimChannel &) = delete;
 
+    /**
+     * Become a copy of `other` (same config): mode FSM, every unit's
+     * state and every stats value. The channel binding stays.
+     */
+    void copyStateFrom(const PimChannel &other);
+
     PimMode mode() const { return mode_; }
 
     unsigned numUnits() const { return static_cast<unsigned>(units_.size()); }

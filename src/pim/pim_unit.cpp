@@ -124,6 +124,22 @@ PimUnit::PimUnit(const PimConfig &config, unsigned index, PseudoChannel &pch,
 }
 
 void
+PimUnit::copyStateFrom(const PimUnit &other)
+{
+    regs_ = other.regs_;
+    ppc_ = other.ppc_;
+    halted_ = other.halted_;
+    faulted_ = other.faulted_;
+    nopConsumed_ = other.nopConsumed_;
+    executed_ = other.executed_;
+    sdcExposed_ = other.sdcExposed_;
+    jumpRemaining_ = other.jumpRemaining_;
+    prefetch_ = other.prefetch_;
+    prefetchVersion_ = other.prefetchVersion_;
+    hasPrefetch_ = other.hasPrefetch_;
+}
+
+void
 PimUnit::resetProgram()
 {
     ppc_ = 0;

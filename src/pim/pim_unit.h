@@ -60,6 +60,12 @@ class PimUnit
     PimUnit(const PimConfig &config, unsigned index, PseudoChannel &pch,
             PimUnitStats *stats);
 
+    /**
+     * Become a copy of `other` (same config): register files and
+     * sequencer state. Bank pair, channel and stats stay this unit's.
+     */
+    void copyStateFrom(const PimUnit &other);
+
     /** Restart the microkernel: PPC = 0, loop counters cleared. */
     void resetProgram();
 

@@ -103,12 +103,47 @@ bool
 PimSystem::tryEnqueue(unsigned channel, const MemRequest &request)
 {
     PIMSIM_ASSERT(channel < controllers_.size(), "bad channel ", channel);
+    PIMSIM_ASSERT(channel < tickedChannels(), "enqueue on channel ", channel,
+                  " during a replay");
     auto &ctrl = *controllers_[channel];
     if (!ctrl.canEnqueue())
         return false;
     ctrl.enqueue(request);
     nextTick_[channel] = now_;
+    if (!replaying_)
+        symmetric_ = false;
     return true;
+}
+
+bool
+PimSystem::beginReplay()
+{
+    PIMSIM_ASSERT(!replaying_, "nested replay");
+    if (config_.pim.functional || !symmetric_ ||
+        !errorStaging_.recent().empty())
+        return false;
+    const unsigned window = controllers_[0]->config().orderedWindow;
+    for (const auto &c : controllers_) {
+        if (!c->idle(now_) || c->channel().traced() ||
+            c->nextScrubDue() != kNoCycle ||
+            c->config().orderedWindow != window)
+            return false;
+    }
+    replaying_ = true;
+    return true;
+}
+
+void
+PimSystem::endReplay()
+{
+    PIMSIM_ASSERT(replaying_, "endReplay without beginReplay");
+    const MemoryController &source = *controllers_[0];
+    for (unsigned ch = 1; ch < numChannels(); ++ch) {
+        controllers_[ch]->copyStateFrom(source);
+        nextTick_[ch] = nextTick_[0];
+    }
+    replaying_ = false;
+    ++replayedRuns_;
 }
 
 void
@@ -119,7 +154,7 @@ PimSystem::assertTickInvariant() const
     // and the loop would silently report "no work" with work pending.
     // The only way to get here is enqueueing on MemoryController
     // directly; tryEnqueue() re-arms the hint on every accept.
-    for (unsigned ch = 0; ch < controllers_.size(); ++ch) {
+    for (unsigned ch = 0; ch < tickedChannels(); ++ch) {
         PIMSIM_ASSERT(nextTick_[ch] != kNoCycle ||
                           controllers_[ch]->idle(now_),
                       "channel ", ch,
@@ -180,7 +215,7 @@ Cycle
 PimSystem::runEpoch(Cycle target, bool allow_scrub)
 {
     Cycle last = now_;
-    for (unsigned ch = 0; ch < numChannels(); ++ch)
+    for (unsigned ch = 0; ch < tickedChannels(); ++ch)
         last = std::max(last, runChannelEpoch(ch, target, allow_scrub));
     mergeErrorStaging();
     return last;
@@ -214,7 +249,7 @@ PimSystem::step()
     assertTickInvariant();
     // Find the earliest pending controller event.
     Cycle target = kNoCycle;
-    for (unsigned ch = 0; ch < controllers_.size(); ++ch) {
+    for (unsigned ch = 0; ch < tickedChannels(); ++ch) {
         if (!controllers_[ch]->idle(now_))
             target = std::min(target, std::max(nextTick_[ch], now_));
     }
@@ -250,7 +285,8 @@ PimSystem::runUntilIdle()
 bool
 PimSystem::allIdle() const
 {
-    return std::all_of(controllers_.begin(), controllers_.end(),
+    return std::all_of(controllers_.begin(),
+                       controllers_.begin() + tickedChannels(),
                        [this](const auto &c) { return c->idle(now_); });
 }
 

@@ -17,6 +17,15 @@
  * then the epoch's ECC events are merged into the error log in
  * (cycle, channel) order — the order a target-by-target sweep over all
  * channels would record them in (DESIGN.md §14).
+ *
+ * The paper drives every pseudo channel with the same lock-step command
+ * stream, so a timing-only system whose channels have seen identical
+ * requests stays *symmetric*: every channel's state equals channel 0's.
+ * A program replicated over all channels of such a system is *replayed*
+ * (beginReplay/endReplay): only channel 0 accepts requests and ticks,
+ * then its complete state is mirrored into every other channel. Any
+ * tryEnqueue outside a replay ends symmetry for the system's lifetime
+ * (DESIGN.md §16).
  */
 
 #ifndef PIMSIM_SIM_SYSTEM_H
@@ -91,8 +100,26 @@ class PimSystem
         return static_cast<Cycle>(ns / config_.timing.tCKns + 0.5);
     }
 
-    /** Enqueue a request on a channel if the queue has space. */
+    /** Enqueue a request on a channel if the queue has space. Outside a
+     *  replay this ends the system's symmetry. */
     bool tryEnqueue(unsigned channel, const MemRequest &request);
+
+    /**
+     * Start replaying a program replicated over every channel, if the
+     * system allows it: timing-only (PimConfig::functional off) and
+     * symmetric, every channel idle, untraced, scrub-free and on channel
+     * 0's ordered window, and no staged ECC events. Until endReplay(),
+     * only channel 0 accepts requests and the event loop runs channel 0
+     * alone. @return false, changing nothing, when replay does not apply.
+     */
+    bool beginReplay();
+
+    /** Mirror channel 0's state into every other channel and end the
+     *  replay; the system stays symmetric. */
+    void endReplay();
+
+    /** Replays completed so far (kept out of the stats registry). */
+    std::uint64_t replayedRuns() const { return replayedRuns_; }
 
     /**
      * Advance the clock to the next event and tick every due controller.
@@ -184,6 +211,11 @@ class PimSystem
     /** Event-loop invariant: a non-idle channel must have a live
      *  next-tick hint (enqueues must go through tryEnqueue). */
     void assertTickInvariant() const;
+    /** Channels the event loop runs: channel 0 alone during a replay. */
+    unsigned tickedChannels() const
+    {
+        return replaying_ ? 1 : numChannels();
+    }
 
     SystemConfig config_;
     AddressMapping mapping_;
@@ -196,6 +228,10 @@ class PimSystem
     /** ECC events recorded by every controller since the last merge.
      *  Unbounded: the merge must replay every event into errorLog_. */
     MemErrorLog errorStaging_{~std::size_t{0}};
+    /** Every channel has seen the same requests (see beginReplay). */
+    bool symmetric_ = true;
+    bool replaying_ = false;
+    std::uint64_t replayedRuns_ = 0;
 };
 
 } // namespace pimsim

@@ -207,6 +207,21 @@ PimRunResult
 runPimProgramReplicated(PimSystem &system, const ChannelProgram &program,
                         unsigned channels, bool collect_reads)
 {
+    // Every channel of a symmetric system would step through exactly
+    // channel 0's states: simulate channel 0 and mirror it (DESIGN.md
+    // §16).
+    if (channels == system.numChannels() && system.beginReplay()) {
+        PimRunResult result =
+            runChannelPrograms(system, {&program}, collect_reads);
+        system.endReplay();
+        result.commands *= channels;
+        result.fences *= channels;
+        if (collect_reads) {
+            const std::vector<MemResponse> channel0 = result.reads.front();
+            result.reads.assign(channels, channel0);
+        }
+        return result;
+    }
     std::vector<const ChannelProgram *> programs(channels, &program);
     return runChannelPrograms(system, programs, collect_reads);
 }

@@ -76,6 +76,9 @@ PimRunResult runPimProgram(PimSystem &system, const PimProgram &program,
  * Execute the same channel program on the first `channels` channels
  * (the common case: every channel runs an identical command structure,
  * differing only in resident bank data). Avoids materialising N copies.
+ * Covering every channel of a symmetric timing-only system, the run is
+ * simulated on channel 0 alone and mirrored (PimSystem::beginReplay);
+ * the result is the same either way.
  */
 PimRunResult runPimProgramReplicated(PimSystem &system,
                                      const ChannelProgram &program,

@@ -72,6 +72,48 @@ TEST(ProgramRunner, ExecutesAndTimes)
     }
 }
 
+TEST(ProgramRunner, ReplayedRunReportsEveryChannel)
+{
+    // A timing-only system replays the program on channel 0; the result
+    // must still describe every channel, as the functional run does.
+    auto run = [](bool functional, std::uint64_t *replayed) {
+        SystemConfig c = tinyConfig();
+        c.pim.functional = functional;
+        PimSystem sys(c);
+        ChannelProgram prog;
+        ProgramBuilder b(prog);
+        Burst data{};
+        data.fill(0x5a);
+        b.write(7, 2, data);
+        b.fence();
+        b.read(7, 2);
+        b.read(8, 2);
+        b.prechargeAll();
+        const PimRunResult r =
+            runPimProgramReplicated(sys, prog, sys.numChannels(), true);
+        *replayed = sys.replayedRuns();
+        return r;
+    };
+    std::uint64_t functional_replays = 0, timing_replays = 0;
+    const PimRunResult f = run(true, &functional_replays);
+    const PimRunResult t = run(false, &timing_replays);
+    EXPECT_EQ(functional_replays, 0u);
+    EXPECT_EQ(timing_replays, 1u);
+    EXPECT_EQ(t.cycles, f.cycles);
+    EXPECT_EQ(t.commands, f.commands);
+    EXPECT_EQ(t.fences, f.fences);
+    ASSERT_EQ(t.reads.size(), f.reads.size());
+    for (std::size_t ch = 0; ch < f.reads.size(); ++ch) {
+        ASSERT_EQ(t.reads[ch].size(), 2u);
+        ASSERT_EQ(f.reads[ch].size(), 2u);
+        for (std::size_t i = 0; i < 2; ++i) {
+            EXPECT_EQ(t.reads[ch][i].id, f.reads[ch][i].id);
+            EXPECT_EQ(t.reads[ch][i].data, f.reads[ch][i].data);
+            EXPECT_EQ(t.reads[ch][i].completion, f.reads[ch][i].completion);
+        }
+    }
+}
+
 TEST(ProgramRunner, FenceSerialisesAgainstCompletion)
 {
     // Time with a fence must exceed time without one.

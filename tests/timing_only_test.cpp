@@ -11,16 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/trace.h"
 #include "host/host_model.h"
 #include "reliability/fault_injector.h"
 #include "reliability/sdc_monitor.h"
 #include "sim/system.h"
 #include "stack/app_runner.h"
 #include "stack/blas.h"
+#include "stack/pim_program.h"
 #include "stack/workloads.h"
 
 namespace pimsim {
@@ -144,6 +148,326 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Variant> &info) {
         return info.param.name;
     });
+
+// ---------- Replay: channel 0 simulated, mirrored to the others ----------
+
+/**
+ * One workload on a fresh shard: an application at batches 1, 2, 4 and
+ * 8, or one microbenchmark at batch 1.
+ */
+struct ReplayCase
+{
+    std::string name;
+    const AppSpec *app = nullptr;
+    MicroSpec micro;
+};
+
+void
+PrintTo(const ReplayCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/** True iff every layer that moves DRAM data runs on PIM. */
+bool
+pimOnly(const AppSpec &app)
+{
+    for (const LayerSpec &layer : app.layers) {
+        if (layer.kind != LayerSpec::Kind::Conv && !layer.pimEligible)
+            return false;
+    }
+    return true;
+}
+
+std::vector<ReplayCase>
+replayCases()
+{
+    static const std::vector<AppSpec> apps = allApps();
+    std::vector<ReplayCase> cases;
+    for (const AppSpec &app : apps) {
+        if (pimOnly(app))
+            cases.push_back({app.name, &app, {}});
+    }
+    std::vector<MicroSpec> micros = table6Microbenchmarks();
+    for (const MicroSpec &bn : bnMicrobenchmarks())
+        micros.push_back(bn);
+    for (const MicroSpec &micro : micros)
+        cases.push_back({micro.name, nullptr, micro});
+    return cases;
+}
+
+/** What one shard reports, and how many of its runs were replayed. */
+struct ShardOutcome
+{
+    std::vector<AppRunResult> results;
+    double streamNs = 0.0;
+    std::string statsJson;
+    std::uint64_t replayed = 0;
+};
+
+/** Run `c` on a fresh shard, then a host stream over every channel. */
+ShardOutcome
+runCase(const SystemConfig &config, const ReplayCase &c,
+        TraceSession *trace = nullptr, bool stream_first = false)
+{
+    PimSystem system(config);
+    system.setTraceSession(trace);
+    HostModel host(system);
+    PimBlas blas(system);
+    AppRunner runner(host, &blas);
+    ShardOutcome out;
+    if (stream_first)
+        out.streamNs += host.elementwise(1 << 16, 1 << 15).ns;
+    if (c.app) {
+        for (unsigned batch : {1u, 2u, 4u, 8u})
+            out.results.push_back(runner.runApp(*c.app, batch));
+    } else {
+        out.results.push_back(runner.runMicro(c.micro, 1));
+    }
+    // The stream runs channels 1..N-1 on the full path from the state a
+    // replay mirrored into them.
+    out.streamNs += host.elementwise(1 << 20, 1 << 19).ns;
+    out.replayed = system.replayedRuns();
+    std::ostringstream os;
+    system.dumpStatsJson(os);
+    out.statsJson = os.str();
+    return out;
+}
+
+void
+expectSame(const ShardOutcome &functional, const ShardOutcome &timing,
+           const std::string &where)
+{
+    ASSERT_EQ(functional.results.size(), timing.results.size());
+    for (std::size_t i = 0; i < functional.results.size(); ++i)
+        expectSame(functional.results[i], timing.results[i],
+                   where + " run " + std::to_string(i));
+    EXPECT_EQ(functional.streamNs, timing.streamNs) << where;
+    EXPECT_EQ(functional.statsJson, timing.statsJson) << where;
+}
+
+class TimingOnlyReplay
+    : public ::testing::TestWithParam<std::tuple<Variant, ReplayCase>>
+{
+};
+
+TEST_P(TimingOnlyReplay, ReplayedRunsMatchFunctional)
+{
+    const auto &[variant, c] = GetParam();
+    const ShardOutcome functional = runCase(shardConfig(variant.pim, true), c);
+    const ShardOutcome timing = runCase(shardConfig(variant.pim, false), c);
+    EXPECT_EQ(functional.replayed, 0u);
+    EXPECT_GT(timing.replayed, 0u);
+    expectSame(functional, timing, c.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig14Variants, TimingOnlyReplay,
+    ::testing::Combine(::testing::ValuesIn(variants()),
+                       ::testing::ValuesIn(replayCases())),
+    [](const auto &info) {
+        std::string name = std::get<0>(info.param).name + "_" +
+                           std::get<1>(info.param).name;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
+
+// A kernel's trailing precharge and SB exit leave every channel at rest,
+// where stale bank rows, bank timers or PIM mode behave like the current
+// ones. Programs that stop mid-kernel make each of them observable.
+
+/**
+ * Host-style reads over every bank: long enough to cross refreshes, and
+ * ending with a row open in each bank.
+ */
+ChannelProgram
+openRowsProgram()
+{
+    ChannelProgram prog;
+    ProgramBuilder b(prog);
+    for (unsigned i = 0; i < 4096; ++i) {
+        const unsigned bank = i % 16;
+        b.read(1 + (i / 256) % 8, i % 32, bank / 4, bank % 4);
+    }
+    return prog;
+}
+
+/** Enter AB-PIM mode and stop there, with the config row open. */
+ChannelProgram
+enterPimProgram(const PimChannel &pim)
+{
+    ChannelProgram prog;
+    ProgramBuilder b(prog);
+    b.prechargeAll();
+    if (!pim.config().fastModeSwitch) {
+        b.activate(pim.confMap().abmrRow);
+        b.precharge();
+        b.fence();
+    }
+    const auto [row, col] = pim.configAddr(pim.opModeCol());
+    Burst on{};
+    on[0] = 1;
+    b.write(row, col, on);
+    return prog;
+}
+
+/** A short continuation in AB-PIM mode: triggers on two data rows,
+ *  then PIM_OP_MODE=0. It stops short of the SB exit, whose mode check
+ *  would abort on a channel left in the wrong mode. */
+ChannelProgram
+continuationProgram(const PimChannel &pim)
+{
+    ChannelProgram prog;
+    ProgramBuilder b(prog);
+    for (unsigned i = 0; i < 32; ++i)
+        b.read(i < 24 ? 8 : 9, i % 32, (i % 16) / 4, i % 4);
+    const auto [row, col] = pim.configAddr(pim.opModeCol());
+    b.write(row, col, Burst{});
+    b.prechargeAll();
+    b.fence();
+    return prog;
+}
+
+/** Every channel's state as its public accessors show it. */
+std::vector<std::string>
+channelStates(PimSystem &system)
+{
+    std::vector<std::string> states;
+    for (unsigned ch = 0; ch < system.numChannels(); ++ch) {
+        const MemoryController &ctrl = system.controller(ch);
+        const PseudoChannel &pch = ctrl.channel();
+        std::ostringstream os;
+        os << ctrl.queuedRequests() << ' ' << pch.modeLabel() << ' '
+           << pimModeName(ctrl.pim()->mode());
+        for (unsigned b = 0; b < pch.geometry().banksPerPch(); ++b) {
+            const Bank &bank = pch.bank(b);
+            os << " b" << static_cast<int>(bank.state) << ':'
+               << bank.openRow << ':' << bank.nextAct << ':'
+               << bank.nextPre << ':' << bank.nextRd << ':' << bank.nextWr;
+        }
+        for (unsigned u = 0; u < ctrl.pim()->numUnits(); ++u) {
+            const PimUnit &unit = ctrl.pim()->unit(u);
+            os << " u" << unit.ppc() << ':' << unit.halted() << ':'
+               << unit.executedCount();
+        }
+        states.push_back(os.str());
+    }
+    return states;
+}
+
+/** Replicated programs that stop mid-kernel, each followed by a
+ *  per-channel continuation on the full path. */
+struct MidKernelOutcome
+{
+    std::vector<Cycle> cycles;
+    std::vector<std::vector<std::string>> states;
+    std::string statsJson;
+    std::uint64_t replayed = 0;
+};
+
+MidKernelOutcome
+runMidKernel(const SystemConfig &config)
+{
+    PimSystem system(config);
+    const PimChannel &pim = *system.controller(0).pim();
+    MidKernelOutcome out;
+    auto replicated = [&](const ChannelProgram &prog) {
+        out.cycles.push_back(
+            runPimProgramReplicated(system, prog, system.numChannels())
+                .cycles);
+        out.states.push_back(channelStates(system));
+    };
+    auto per_channel = [&](const ChannelProgram &prog) {
+        PimProgram program(system.numChannels());
+        for (auto &p : program.perChannel)
+            p = prog;
+        out.cycles.push_back(runPimProgram(system, program).cycles);
+        out.states.push_back(channelStates(system));
+    };
+    replicated(openRowsProgram());
+    replicated(enterPimProgram(pim));
+    out.replayed = system.replayedRuns();
+    per_channel(continuationProgram(pim));
+    std::ostringstream os;
+    system.dumpStatsJson(os);
+    out.statsJson = os.str();
+    return out;
+}
+
+class TimingOnlyReplayState : public ::testing::TestWithParam<Variant>
+{
+};
+
+TEST_P(TimingOnlyReplayState, MidKernelStateIsMirrored)
+{
+    const MidKernelOutcome functional =
+        runMidKernel(shardConfig(GetParam().pim, true));
+    const MidKernelOutcome timing =
+        runMidKernel(shardConfig(GetParam().pim, false));
+    EXPECT_EQ(timing.replayed, 2u);
+    EXPECT_EQ(functional.cycles, timing.cycles);
+    ASSERT_EQ(functional.states.size(), timing.states.size());
+    for (std::size_t i = 0; i < functional.states.size(); ++i)
+        EXPECT_EQ(functional.states[i], timing.states[i]) << "after run " << i;
+    EXPECT_EQ(functional.statsJson, timing.statsJson);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig14Variants, TimingOnlyReplayState, ::testing::ValuesIn(variants()),
+    [](const ::testing::TestParamInfo<Variant> &info) {
+        return info.param.name;
+    });
+
+/** The smallest Table VI GEMV: a cheap case for the fallback paths. */
+ReplayCase
+gemv1Case()
+{
+    for (const ReplayCase &c : replayCases()) {
+        if (c.name == "GEMV1")
+            return c;
+    }
+    PIMSIM_PANIC("no GEMV1 microbenchmark");
+}
+
+TEST(TimingOnlyReplayFallback, HostStreamBeforeTheFirstGemv)
+{
+    const ReplayCase c = gemv1Case();
+    const ShardOutcome functional =
+        runCase(shardConfig(PimConfig{}, true), c, nullptr, true);
+    const ShardOutcome timing =
+        runCase(shardConfig(PimConfig{}, false), c, nullptr, true);
+    EXPECT_EQ(timing.replayed, 0u);
+    expectSame(functional, timing, c.name);
+}
+
+TEST(TimingOnlyReplayFallback, TraceSessionAttached)
+{
+    const ReplayCase c = gemv1Case();
+    TraceSession functional_trace, timing_trace;
+    const ShardOutcome functional =
+        runCase(shardConfig(PimConfig{}, true), c, &functional_trace);
+    const ShardOutcome timing =
+        runCase(shardConfig(PimConfig{}, false), c, &timing_trace);
+    EXPECT_EQ(timing.replayed, 0u);
+    expectSame(functional, timing, c.name);
+    std::ostringstream f, t;
+    functional_trace.write(f);
+    timing_trace.write(t);
+    EXPECT_EQ(f.str(), t.str());
+}
+
+TEST(TimingOnlyReplayFallback, ScrubEnabled)
+{
+    const ReplayCase c = gemv1Case();
+    SystemConfig functional_config = shardConfig(PimConfig{}, true);
+    SystemConfig timing_config = shardConfig(PimConfig{}, false);
+    functional_config.controller.scrubEnabled = true;
+    timing_config.controller.scrubEnabled = true;
+    const ShardOutcome functional = runCase(functional_config, c);
+    const ShardOutcome timing = runCase(timing_config, c);
+    EXPECT_EQ(timing.replayed, 0u);
+    expectSame(functional, timing, c.name);
+}
 
 // ---------- What a timing-only system returns ----------
 
