@@ -7,13 +7,16 @@
  * the queue). Admission control is a hard reject — the serving layer
  * reports rejections instead of queueing unboundedly, which is what
  * keeps the tail latency of admitted requests meaningful.
+ *
+ * Each tenant FIFO is a contiguous ring that doubles when full, capped
+ * at the tightest bound that applies to it, and never shrinks: once a
+ * tenant has seen its peak depth, pushes and pops allocate nothing.
  */
 
 #ifndef PIMSIM_SERVE_REQUEST_QUEUE_H
 #define PIMSIM_SERVE_REQUEST_QUEUE_H
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -49,13 +52,14 @@ class RequestQueue
     bool empty() const { return total_ == 0; }
     std::size_t sizeForTenant(unsigned tenant) const
     {
-        return queues_[tenant].size();
+        return queues_[tenant].count;
     }
 
     /** Oldest queued request of a tenant (nullptr when empty). */
     const ServeRequest *front(unsigned tenant) const
     {
-        return queues_[tenant].empty() ? nullptr : &queues_[tenant].front();
+        const Fifo &q = queues_[tenant];
+        return q.count == 0 ? nullptr : &q.slots[q.head];
     }
 
     /**
@@ -75,8 +79,23 @@ class RequestQueue
     }
 
   private:
+    /** One tenant's ring: `count` requests from `slots[head]` on,
+     *  wrapping at slots.size(). */
+    struct Fifo
+    {
+        std::vector<ServeRequest> slots;
+        std::size_t head = 0;
+        std::size_t count = 0;
+    };
+
+    /** Double a full ring (at least one slot, at most `limit_`),
+     *  unwrapping it to start at slot 0. */
+    void grow(Fifo &q);
+
     QueueConfig config_;
-    std::vector<std::deque<ServeRequest>> queues_;
+    /** Most requests one tenant can ever hold. */
+    std::size_t limit_;
+    std::vector<Fifo> queues_;
     std::vector<std::uint64_t> admitted_;
     std::vector<std::uint64_t> rejected_;
     std::size_t total_ = 0;

@@ -35,28 +35,27 @@ Scheduler::onDispatched(const Batch &, double)
 
 namespace {
 
-/** Pop up to `limit` requests of one tenant into a batch. */
-Batch
-takeBatch(RequestQueue &queue, unsigned tenant, unsigned limit)
+/** Pop up to `limit` requests of one tenant into `out`. */
+void
+takeBatch(RequestQueue &queue, unsigned tenant, unsigned limit, Batch &out)
 {
-    Batch batch;
-    batch.tenant = tenant;
-    while (batch.size() < limit && queue.sizeForTenant(tenant) > 0)
-        batch.requests.push_back(queue.popFront(tenant));
-    return batch;
+    out.tenant = tenant;
+    out.requests.clear();
+    while (out.size() < limit && queue.sizeForTenant(tenant) > 0)
+        out.requests.push_back(queue.popFront(tenant));
 }
 
 class FcfsScheduler : public Scheduler
 {
   public:
-    std::optional<Batch> pick(RequestQueue &queue,
-                              const std::vector<unsigned> &eligible,
-                              double) override
+    bool pick(RequestQueue &queue, const std::vector<unsigned> &eligible,
+              double, Batch &out) override
     {
         const auto tenant = queue.oldestTenant(eligible);
         if (!tenant)
-            return std::nullopt;
-        return takeBatch(queue, *tenant, 1);
+            return false;
+        takeBatch(queue, *tenant, 1, out);
+        return true;
     }
 };
 
@@ -68,9 +67,8 @@ class BatchTimeoutScheduler : public Scheduler
     {
     }
 
-    std::optional<Batch> pick(RequestQueue &queue,
-                              const std::vector<unsigned> &eligible,
-                              double now) override
+    bool pick(RequestQueue &queue, const std::vector<unsigned> &eligible,
+              double now, Batch &out) override
     {
         // A full batch dispatches immediately; prefer the oldest head so
         // FCFS order is kept among equally-ready tenants.
@@ -92,11 +90,10 @@ class BatchTimeoutScheduler : public Scheduler
                 expired = t;
             }
         }
-        if (full)
-            return takeBatch(queue, *full, config_.maxBatch);
-        if (expired)
-            return takeBatch(queue, *expired, config_.maxBatch);
-        return std::nullopt;
+        if (!full && !expired)
+            return false;
+        takeBatch(queue, full ? *full : *expired, config_.maxBatch, out);
+        return true;
     }
 
     double nextReadyNs(const RequestQueue &queue,
@@ -128,9 +125,8 @@ class FairShareScheduler : public Scheduler
             w = w > 0.0 ? w : 1.0;
     }
 
-    std::optional<Batch> pick(RequestQueue &queue,
-                              const std::vector<unsigned> &eligible,
-                              double) override
+    bool pick(RequestQueue &queue, const std::vector<unsigned> &eligible,
+              double, Batch &out) override
     {
         // Least normalised service first (start-time fairness); ties go
         // to the lower tenant id for determinism.
@@ -146,8 +142,9 @@ class FairShareScheduler : public Scheduler
             }
         }
         if (!best)
-            return std::nullopt;
-        return takeBatch(queue, *best, config_.maxBatch);
+            return false;
+        takeBatch(queue, *best, config_.maxBatch, out);
+        return true;
     }
 
     void onDispatched(const Batch &batch, double service_ns) override

@@ -22,7 +22,6 @@
 
 #include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "serve/request.h"
@@ -61,12 +60,15 @@ class Scheduler
 
     /**
      * Form the next batch from `queue` at time `now`, considering only
-     * the tenants in `eligible` (those pinned to the idle shard).
-     * Returns nullopt when no batch should dispatch yet.
+     * the tenants in `eligible` (those pinned to the idle shard), into
+     * the caller's `out`: its requests are replaced and its buffer's
+     * capacity is reused, so a recycled batch allocates nothing in
+     * steady state. Returns false, leaving `out` untouched, when no
+     * batch should dispatch yet.
      */
-    virtual std::optional<Batch> pick(RequestQueue &queue,
-                                      const std::vector<unsigned> &eligible,
-                                      double now) = 0;
+    virtual bool pick(RequestQueue &queue,
+                      const std::vector<unsigned> &eligible, double now,
+                      Batch &out) = 0;
 
     /**
      * Earliest future time at which pick() could return a batch without

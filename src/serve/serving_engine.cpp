@@ -99,18 +99,30 @@ ServingEngine::ServingEngine(const ServeConfig &config)
     host_system.kind = MemoryKind::Hbm;
     hostModel_ = std::make_unique<ShardServiceModel>(
         host_system, host_system.numChannels(), cache);
+    auto &stats = system_->serveStats();
+    const auto bind_name = [&](std::string name) {
+        statNames_.push_back(std::move(name));
+        return StatCounter(&stats, statNames_.back().c_str());
+    };
     servers_.resize(plan_.numShards());
     shards_.resize(plan_.numShards());
-    for (auto &shard : shards_)
+    for (unsigned s = 0; s < plan_.numShards(); ++s) {
+        ShardState &shard = shards_[s];
         shard.breaker = CircuitBreaker(config.breaker);
+        const std::string id = std::to_string(s);
+        shard.faultsStat = bind_name("shard" + id + ".batchFaults");
+        shard.openedStat = bind_name("breaker.shard" + id + ".opened");
+        shard.halfOpenStat = bind_name("breaker.shard" + id + ".halfOpen");
+        shard.closedStat = bind_name("breaker.shard" + id + ".closed");
+    }
+    batchesDispatched_ = StatCounter(&stats, "batchesDispatched");
+    queueDepthSum_ = StatCounter(&stats, "queueDepthSum");
 
     sched_ = Scheduler::make(config.sched, weights);
 
-    auto &stats = system_->serveStats();
     for (const auto &spec : config.tenants) {
         const auto bind = [&](const char *stat) {
-            statNames_.push_back("tenant." + spec.name + "." + stat);
-            return StatCounter(&stats, statNames_.back().c_str());
+            return bind_name("tenant." + spec.name + "." + stat);
         };
         tenants_.push_back(TenantState{
             spec, cache->intern(spec.app), "request " + spec.name,
@@ -393,17 +405,15 @@ ServingEngine::noteBreakerState(unsigned s)
     const BreakerState now_state = shard.breaker.state();
     if (now_state == shard.traceState)
         return;
-    auto &stats = system_->serveStats();
-    const std::string base = "breaker.shard" + std::to_string(s);
     switch (now_state) {
       case BreakerState::Open:
-        stats.add(base + ".opened");
+        shard.openedStat.add();
         break;
       case BreakerState::HalfOpen:
-        stats.add(base + ".halfOpen");
+        shard.halfOpenStat.add();
         break;
       case BreakerState::Closed:
-        stats.add(base + ".closed");
+        shard.closedStat.add();
         break;
     }
     if (trace_ && shard.traceState != BreakerState::Closed) {
@@ -419,8 +429,9 @@ ServingEngine::noteBreakerState(unsigned s)
 }
 
 void
-ServingEngine::startBatch(unsigned s, Batch &&batch, bool force_host)
+ServingEngine::startBatch(unsigned s, bool force_host)
 {
+    Batch &batch = servers_[s].inFlight;
     // A shard with every channel withdrawn has no PIM capacity left:
     // its tenants ride the host golden path until probation re-admits.
     if (!force_host && sdcMonitor_ && config_.sdc.quarantine &&
@@ -463,9 +474,8 @@ ServingEngine::startBatch(unsigned s, Batch &&batch, bool force_host)
         }
     }
 
-    auto &stats = system_->serveStats();
-    stats.add("batchesDispatched");
-    stats.add("queueDepthSum", queue_.size());
+    batchesDispatched_.add();
+    queueDepthSum_.add(queue_.size());
     if (trace_) {
         const char *cat = host ? "fallback"
                          : route == DispatchRoute::PimProbe ? "probe"
@@ -481,7 +491,6 @@ ServingEngine::startBatch(unsigned s, Batch &&batch, bool force_host)
     servers_[s].serviceNs = service_ns;
     servers_[s].fallback = host;
     servers_[s].probe = route == DispatchRoute::PimProbe;
-    servers_[s].inFlight = std::move(batch);
 }
 
 void
@@ -494,19 +503,18 @@ ServingEngine::dispatchAll()
             // Due retries are older work: they run before fresh picks.
             const int retry = dueRetryIndex(s);
             if (retry >= 0) {
-                PendingRetry pending =
-                    std::move(shards_[s].retries[retry]);
+                PendingRetry &pending = shards_[s].retries[retry];
+                const bool force_host = pending.forceHost;
+                servers_[s].inFlight = std::move(pending.batch);
                 shards_[s].retries.erase(shards_[s].retries.begin() +
                                          retry);
-                startBatch(s, std::move(pending.batch),
-                           pending.forceHost);
+                startBatch(s, force_host);
                 continue;
             }
-            auto batch =
-                sched_->pick(queue_, plan_.tenantsOf(s), nowNs_);
-            if (!batch)
+            if (!sched_->pick(queue_, plan_.tenantsOf(s), nowNs_,
+                              servers_[s].inFlight))
                 break;
-            startBatch(s, std::move(*batch), false);
+            startBatch(s, false);
         }
     }
 }
@@ -518,7 +526,6 @@ ServingEngine::finishBatch(unsigned shard)
     ShardState &res = shards_[shard];
     const unsigned tenant = server.inFlight.tenant;
     auto &state = tenants_[tenant];
-    auto &stats = system_->serveStats();
 
     // The host golden path is fault-immune (PimBlas's hostFallback
     // contract); only PIM batches consult the fault process.
@@ -530,8 +537,7 @@ ServingEngine::finishBatch(unsigned shard)
     const bool failed = faults > 0;
     if (faults > 0) {
         res.batchFaults += faults;
-        stats.add("shard" + std::to_string(shard) + ".batchFaults",
-                  faults);
+        res.faultsStat.add(faults);
         if (trace_) {
             trace_->instant(kTracePidResilience,
                             static_cast<int>(shard), "batchFault",
@@ -624,7 +630,9 @@ ServingEngine::finishBatch(unsigned shard)
     server.busy = false;
     server.fallback = false;
     server.probe = false;
-    server.inFlight = Batch{};
+    // Keep the buffer for the next batch (a failed batch took its own
+    // into PendingRetry above).
+    server.inFlight.requests.clear();
 }
 
 bool

@@ -350,6 +350,9 @@ class ServingEngine
     {
         bool busy = false;
         double freeNs = 0.0;
+        /** The batch on the device. The scheduler fills it in place and
+         *  finishBatch() empties it keeping its capacity, so each server
+         *  reuses one request buffer for all of its batches. */
         Batch inFlight;
         double serviceNs = 0.0;
         bool fallback = false; ///< running on the host golden path
@@ -376,6 +379,9 @@ class ServingEngine
         double traceSinceNs = 0.0;
         /** Dispatch paused until here (weight-stripe migration). */
         double holdUntilNs = 0.0;
+        /** "shard<N>.batchFaults" and "breaker.shard<N>.<state>" serve
+         *  counters (entries appear on first use). */
+        StatCounter faultsStat, openedStat, halfOpenStat, closedStat;
     };
 
     /** Complete every in-flight batch due by the current clock. */
@@ -384,8 +390,9 @@ class ServingEngine
     void expireDue();
     /** Dispatch as many batches as idle shards and policy allow. */
     void dispatchAll();
-    /** Put one batch on shard `s` now (breaker decides the route). */
-    void startBatch(unsigned s, Batch &&batch, bool force_host);
+    /** Put servers_[s].inFlight on shard `s` now (breaker decides the
+     *  route). */
+    void startBatch(unsigned s, bool force_host);
     void finishBatch(unsigned shard);
     /** Index into shards_[s].retries of the due retry to run (or -1). */
     int dueRetryIndex(unsigned s) const;
@@ -416,8 +423,8 @@ class ServingEngine
 
     ServeConfig config_;
     RequestLedger ledger_;
-    /** Names of the tenants' bound serve counters (a deque never moves
-     *  its elements). */
+    /** Names of the tenants' and shards' bound serve counters (a deque
+     *  never moves its elements). */
     std::deque<std::string> statNames_;
     std::unique_ptr<PimSystem> system_;
     ShardPlan plan_;
@@ -429,6 +436,8 @@ class ServingEngine
     RequestQueue queue_;
     std::unique_ptr<Scheduler> sched_;
     std::vector<TenantState> tenants_;
+    /** Per-dispatch serve counters. */
+    StatCounter batchesDispatched_, queueDepthSum_;
 
     FaultModel *faults_ = nullptr;
     SdcModel *sdcModel_ = nullptr;

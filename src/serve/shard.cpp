@@ -49,6 +49,9 @@ ShardPlan::shared(unsigned total_channels, unsigned pim_rows,
     plan.shards_.push_back(
         ShardSpec{0, total_channels, 0, pim_rows});
     plan.shardOf_.assign(num_tenants, 0);
+    plan.tenantsOf_.resize(1);
+    for (unsigned t = 0; t < num_tenants; ++t)
+        plan.tenantsOf_[0].push_back(t);
     plan.quarantined_.assign(total_channels, 0);
     plan.sharded_ = false;
     return plan;
@@ -91,6 +94,7 @@ ShardPlan::sharded(unsigned total_channels, unsigned pim_rows,
         row_cursor += spec.numRows;
 
         plan.shardOf_.push_back(static_cast<unsigned>(plan.shards_.size()));
+        plan.tenantsOf_.push_back({static_cast<unsigned>(t)});
         plan.shards_.push_back(spec);
     }
     return plan;
@@ -137,17 +141,6 @@ ShardPlan::capacityFraction(unsigned s) const
         return 1.0;
     return static_cast<double>(activeChannelsOf(s)) /
            static_cast<double>(spec.numChannels);
-}
-
-std::vector<unsigned>
-ShardPlan::tenantsOf(unsigned s) const
-{
-    std::vector<unsigned> tenants;
-    for (unsigned t = 0; t < shardOf_.size(); ++t) {
-        if (shardOf_[t] == s)
-            tenants.push_back(t);
-    }
-    return tenants;
 }
 
 } // namespace pimsim::serve

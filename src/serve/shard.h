@@ -64,8 +64,15 @@ class ShardPlan
     unsigned shardOf(unsigned tenant) const { return shardOf_[tenant]; }
     const ShardSpec &shard(unsigned s) const { return shards_[s]; }
 
-    /** Tenants assigned to shard `s`. */
-    std::vector<unsigned> tenantsOf(unsigned s) const;
+    /**
+     * Tenants assigned to shard `s`, in tenant-id order. Built once with
+     * the plan: quarantine and restore never move a tenant between
+     * shards, so the event loop reads these lists without copying.
+     */
+    const std::vector<unsigned> &tenantsOf(unsigned s) const
+    {
+        return tenantsOf_[s];
+    }
 
     /** True when every tenant has its own shard. */
     bool isSharded() const { return sharded_; }
@@ -93,6 +100,7 @@ class ShardPlan
   private:
     std::vector<ShardSpec> shards_;
     std::vector<unsigned> shardOf_; ///< tenant -> shard index
+    std::vector<std::vector<unsigned>> tenantsOf_; ///< shard -> tenants
     std::vector<std::uint8_t> quarantined_; ///< per absolute channel
     bool sharded_ = false;
 };

@@ -7,7 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <deque>
+#include <map>
+#include <set>
+
+#include "common/rng.h"
 
 #include "serve/load_gen.h"
 #include "serve/request_ledger.h"
@@ -110,6 +116,104 @@ TEST(RequestQueue, OldestTenantHonoursEligibility)
     EXPECT_FALSE(q.oldestTenant({1}).has_value());
 }
 
+/**
+ * Seeded push/pop stream against a std::deque model of each tenant's
+ * FIFO: the ring must grow, wrap around and enforce both bounds exactly
+ * as the deque it replaced did.
+ */
+void
+checkQueueAgainstDequeModel(const QueueConfig &config, unsigned tenants,
+                            std::uint64_t seed, unsigned ops)
+{
+    RequestQueue q(config, tenants);
+    std::vector<std::deque<std::uint64_t>> model(tenants);
+    std::vector<std::uint64_t> admitted(tenants, 0);
+    std::vector<std::uint64_t> rejected(tenants, 0);
+    std::size_t total = 0;
+    std::uint64_t next_id = 0;
+    Rng rng(seed);
+
+    for (unsigned op = 0; op < ops; ++op) {
+        const unsigned t = static_cast<unsigned>(rng.nextBelow(tenants));
+        // Phases of push-heavy and pop-heavy traffic, so queues fill to
+        // their bounds, drain, and refill with the ring's head anywhere.
+        const bool push_heavy = (op / 64) % 2 == 0;
+        const bool push = rng.nextBelow(4) < (push_heavy ? 3u : 1u);
+        if (push) {
+            const std::uint64_t id = next_id++;
+            const bool fits =
+                total < config.depth &&
+                (config.perTenantDepth == 0 ||
+                 model[t].size() < config.perTenantDepth);
+            ASSERT_EQ(q.tryPush(req(id, t, static_cast<double>(op))), fits)
+                << "op " << op;
+            if (fits) {
+                model[t].push_back(id);
+                ++admitted[t];
+                ++total;
+            } else {
+                ++rejected[t];
+            }
+        } else if (!model[t].empty()) {
+            const ServeRequest r = q.popFront(t);
+            EXPECT_EQ(r.id, model[t].front()) << "op " << op;
+            EXPECT_EQ(r.tenant, t);
+            model[t].pop_front();
+            --total;
+        }
+
+        ASSERT_EQ(q.size(), total) << "op " << op;
+        EXPECT_EQ(q.empty(), total == 0);
+        for (unsigned u = 0; u < tenants; ++u) {
+            ASSERT_EQ(q.sizeForTenant(u), model[u].size()) << "op " << op;
+            const ServeRequest *head = q.front(u);
+            if (model[u].empty()) {
+                EXPECT_EQ(head, nullptr);
+            } else {
+                ASSERT_NE(head, nullptr);
+                EXPECT_EQ(head->id, model[u].front()) << "op " << op;
+                EXPECT_EQ(head->tenant, u);
+            }
+            EXPECT_EQ(q.admitted(u), admitted[u]);
+            EXPECT_EQ(q.rejected(u), rejected[u]);
+        }
+    }
+    // Drain everything in order.
+    for (unsigned u = 0; u < tenants; ++u) {
+        while (!model[u].empty()) {
+            EXPECT_EQ(q.popFront(u).id, model[u].front());
+            model[u].pop_front();
+        }
+    }
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(RequestQueue, RingMatchesDequeModelUnderGlobalBound)
+{
+    checkQueueAgainstDequeModel(QueueConfig{7, 0}, 1, 1, 4000);
+    checkQueueAgainstDequeModel(QueueConfig{128, 0}, 3, 2, 4000);
+}
+
+TEST(RequestQueue, RingMatchesDequeModelUnderPerTenantBound)
+{
+    checkQueueAgainstDequeModel(QueueConfig{64, 5}, 4, 3, 4000);
+    // A per-tenant bound looser than the global one never binds.
+    checkQueueAgainstDequeModel(QueueConfig{3, 10}, 2, 4, 4000);
+    // Non-power-of-two bounds cap the ring's growth mid-doubling.
+    checkQueueAgainstDequeModel(QueueConfig{1000, 37}, 2, 5, 8000);
+}
+
+TEST(RequestQueue, ZeroDepthRejectsEverything)
+{
+    RequestQueue q(QueueConfig{0, 0}, 2);
+    EXPECT_FALSE(q.tryPush(req(0, 0)));
+    EXPECT_FALSE(q.tryPush(req(1, 1)));
+    EXPECT_EQ(q.rejected(0), 1u);
+    EXPECT_EQ(q.rejected(1), 1u);
+    EXPECT_EQ(q.front(0), nullptr);
+    EXPECT_TRUE(q.empty());
+}
+
 // ------------------------------------------------------------------
 // Schedulers (unit level, no device)
 // ------------------------------------------------------------------
@@ -121,16 +225,15 @@ TEST(Scheduler, FcfsPicksOldestAcrossTenantsBatchOne)
     EXPECT_TRUE(q.tryPush(req(1, 0)));
 
     auto sched = Scheduler::make(SchedulerConfig{}, {1.0, 1.0});
-    auto batch = sched->pick(q, {0, 1}, 0.0);
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->tenant, 1u);
-    EXPECT_EQ(batch->size(), 1u);
+    Batch batch;
+    ASSERT_TRUE(sched->pick(q, {0, 1}, 0.0, batch));
+    EXPECT_EQ(batch.tenant, 1u);
+    EXPECT_EQ(batch.size(), 1u);
 
-    batch = sched->pick(q, {0, 1}, 0.0);
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->tenant, 0u);
+    ASSERT_TRUE(sched->pick(q, {0, 1}, 0.0, batch));
+    EXPECT_EQ(batch.tenant, 0u);
     EXPECT_TRUE(q.empty());
-    EXPECT_FALSE(sched->pick(q, {0, 1}, 0.0).has_value());
+    EXPECT_FALSE(sched->pick(q, {0, 1}, 0.0, batch));
 }
 
 TEST(Scheduler, BatchTimeoutWaitsForCompanionsThenFlushes)
@@ -146,20 +249,19 @@ TEST(Scheduler, BatchTimeoutWaitsForCompanionsThenFlushes)
     EXPECT_TRUE(q.tryPush(req(1, 0, 10.0)));
 
     // Two of four queued, head not timed out: hold.
-    EXPECT_FALSE(sched->pick(q, {0}, 500.0).has_value());
+    Batch batch;
+    EXPECT_FALSE(sched->pick(q, {0}, 500.0, batch));
     EXPECT_DOUBLE_EQ(sched->nextReadyNs(q, {0}, 500.0), 1000.0);
 
     // Head timed out: flush the partial batch.
-    auto batch = sched->pick(q, {0}, 1000.0);
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->size(), 2u);
+    ASSERT_TRUE(sched->pick(q, {0}, 1000.0, batch));
+    EXPECT_EQ(batch.size(), 2u);
 
     // A full batch dispatches immediately, no timeout wait.
     for (std::uint64_t i = 0; i < 5; ++i)
         EXPECT_TRUE(q.tryPush(req(10 + i, 0, 2000.0)));
-    batch = sched->pick(q, {0}, 2000.0);
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->size(), 4u);
+    ASSERT_TRUE(sched->pick(q, {0}, 2000.0, batch));
+    EXPECT_EQ(batch.size(), 4u);
     EXPECT_EQ(q.size(), 1u);
 }
 
@@ -181,10 +283,10 @@ TEST(Scheduler, FairShareTracksWeightedServedTime)
     // follow the 3:1 weights exactly.
     unsigned dispatched[2] = {0, 0};
     for (unsigned i = 0; i < 80; ++i) {
-        auto batch = sched->pick(q, {0, 1}, 0.0);
-        ASSERT_TRUE(batch.has_value());
-        sched->onDispatched(*batch, 1000.0);
-        ++dispatched[batch->tenant];
+        Batch batch;
+        ASSERT_TRUE(sched->pick(q, {0, 1}, 0.0, batch));
+        sched->onDispatched(batch, 1000.0);
+        ++dispatched[batch.tenant];
     }
     EXPECT_EQ(dispatched[0], 60u);
     EXPECT_EQ(dispatched[1], 20u);
@@ -200,9 +302,9 @@ TEST(Scheduler, FairShareIsWorkConserving)
     // Only the light tenant has work: it must still dispatch.
     RequestQueue q(QueueConfig{}, 2);
     EXPECT_TRUE(q.tryPush(req(0, 1)));
-    auto batch = sched->pick(q, {0, 1}, 0.0);
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->tenant, 1u);
+    Batch batch;
+    ASSERT_TRUE(sched->pick(q, {0, 1}, 0.0, batch));
+    EXPECT_EQ(batch.tenant, 1u);
 }
 
 TEST(Scheduler, FairSharePadsMissingWeightsWithDefault)
@@ -223,10 +325,10 @@ TEST(Scheduler, FairSharePadsMissingWeightsWithDefault)
 
     unsigned dispatched[3] = {0, 0, 0};
     for (unsigned i = 0; i < 40; ++i) {
-        auto batch = sched->pick(q, {0, 1, 2}, 0.0);
-        ASSERT_TRUE(batch.has_value());
-        sched->onDispatched(*batch, 1000.0);
-        ++dispatched[batch->tenant];
+        Batch batch;
+        ASSERT_TRUE(sched->pick(q, {0, 1, 2}, 0.0, batch));
+        sched->onDispatched(batch, 1000.0);
+        ++dispatched[batch.tenant];
     }
     // 2:1:1 effective weights over 40 equal-cost dispatches.
     EXPECT_EQ(dispatched[0], 20u);
@@ -243,10 +345,10 @@ TEST(Scheduler, FairShareHandlesEmptyWeightVector)
 
     RequestQueue q(QueueConfig{}, 2);
     EXPECT_TRUE(q.tryPush(req(0, 1)));
-    auto batch = sched->pick(q, {0, 1}, 0.0);
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->tenant, 1u);
-    sched->onDispatched(*batch, 500.0);
+    Batch batch;
+    ASSERT_TRUE(sched->pick(q, {0, 1}, 0.0, batch));
+    EXPECT_EQ(batch.tenant, 1u);
+    sched->onDispatched(batch, 500.0);
 }
 
 // ------------------------------------------------------------------
@@ -277,6 +379,43 @@ TEST(ShardPlan, SkewedWeightsRoundChannelsToPowerOfTwo)
     EXPECT_EQ(light.numChannels, 4u); // floorPow2(4)
     EXPECT_EQ(heavy.numRows, 300u);
     EXPECT_EQ(light.numRows, 100u);
+}
+
+TEST(ShardPlan, TenantListsAreBuiltOnceAndSurviveQuarantine)
+{
+    ShardPlan shared = ShardPlan::shared(16, 400, 3);
+    ASSERT_EQ(shared.numShards(), 1u);
+    EXPECT_EQ(shared.tenantsOf(0), (std::vector<unsigned>{0, 1, 2}));
+
+    ShardPlan sharded = ShardPlan::sharded(16, 400, {1.0, 2.0, 1.0});
+    ASSERT_EQ(sharded.numShards(), 3u);
+    for (unsigned t = 0; t < 3; ++t) {
+        EXPECT_EQ(sharded.tenantsOf(sharded.shardOf(t)),
+                  (std::vector<unsigned>{t}));
+    }
+
+    // Withdrawing and restoring channels changes capacity, never the
+    // tenant -> shard map: the same lists, at the same addresses.
+    const std::vector<unsigned> *shared_list = &shared.tenantsOf(0);
+    const std::vector<unsigned> *sharded_list = &sharded.tenantsOf(1);
+    for (ShardPlan *plan : {&shared, &sharded}) {
+        plan->quarantineChannel(5);
+        plan->quarantineChannel(0);
+    }
+    EXPECT_EQ(sharded.activeChannelsOf(sharded.shardOf(1)), 7u);
+    EXPECT_EQ(&shared.tenantsOf(0), shared_list);
+    EXPECT_EQ(&sharded.tenantsOf(1), sharded_list);
+    EXPECT_EQ(shared.tenantsOf(0), (std::vector<unsigned>{0, 1, 2}));
+    EXPECT_EQ(sharded.tenantsOf(1), (std::vector<unsigned>{1}));
+    for (ShardPlan *plan : {&shared, &sharded}) {
+        plan->restoreChannel(5);
+        plan->restoreChannel(0);
+    }
+    EXPECT_EQ(shared.tenantsOf(0), (std::vector<unsigned>{0, 1, 2}));
+    for (unsigned t = 0; t < 3; ++t) {
+        EXPECT_EQ(sharded.tenantsOf(sharded.shardOf(t)),
+                  (std::vector<unsigned>{t}));
+    }
 }
 
 // ------------------------------------------------------------------
@@ -606,6 +745,136 @@ TEST(ServingEngine, ClosedLoopCompletesExactlyTheRequestedCount)
     EXPECT_EQ(report.total.rejected, 0u);
     EXPECT_EQ(report.tenants[0].completed, 20u);
     EXPECT_EQ(report.tenants[1].completed, 20u);
+}
+
+/** Fails the first `n` PIM batches it is asked about. */
+class FailFirstBatches : public FaultModel
+{
+  public:
+    explicit FailFirstBatches(unsigned n) : left_(n) {}
+
+    unsigned faultEvents(unsigned, double, double) override
+    {
+        if (left_ == 0)
+            return 0;
+        --left_;
+        return 1;
+    }
+
+  private:
+    unsigned left_;
+};
+
+/** Fails about one PIM batch in three, keyed on (shard, start time). */
+class HashedFaults : public FaultModel
+{
+  public:
+    unsigned faultEvents(unsigned shard, double start_ns, double) override
+    {
+        SplitMix64 mix(std::bit_cast<std::uint64_t>(start_ns) ^ shard);
+        return mix.next() % 3 == 0 ? 1u : 0u;
+    }
+};
+
+TEST(ServingEngine, RetriedBatchKeepsItsRequestsWhileTheServerRecycles)
+{
+    ServeConfig config = oneTenantConfig();
+    config.sched.policy = SchedPolicy::BatchTimeout;
+    config.sched.maxBatch = 4;
+    config.retry.maxRetries = 3;
+    // Back off long enough that a fresh batch forms in the server's
+    // recycled buffer and completes before the retry runs.
+    config.retry.baseBackoffNs = 1e9;
+    config.retry.maxBackoffNs = 1e9;
+    config.retry.jitterFrac = 0.0;
+    ServingEngine engine(config);
+    FailFirstBatches faults(1);
+    engine.setFaultModel(&faults);
+
+    // Ids 0..3 fill the first batch; 4..7 wait behind it.
+    for (unsigned i = 0; i < 8; ++i)
+        ASSERT_TRUE(engine.submit(0, 0.0));
+    engine.drain();
+
+    const auto done = engine.takeCompletions();
+    ASSERT_EQ(done.size(), 8u);
+    std::map<std::uint64_t, const ServeRequest *> by_id;
+    for (const ServeRequest &r : done)
+        EXPECT_TRUE(by_id.emplace(r.id, &r).second) << "id " << r.id;
+    ASSERT_EQ(by_id.size(), 8u);
+    EXPECT_EQ(by_id.begin()->first, 0u);
+    EXPECT_EQ(by_id.rbegin()->first, 7u);
+
+    // The failed batch retried whole: ids 0..3, second attempt, one
+    // dispatch. The batch formed after the failure holds 4..7 only.
+    const double retry_dispatch = by_id[0]->dispatchNs;
+    const double next_dispatch = by_id[4]->dispatchNs;
+    for (std::uint64_t id = 0; id < 4; ++id) {
+        EXPECT_EQ(by_id[id]->attempts, 2u) << "id " << id;
+        EXPECT_EQ(by_id[id]->dispatchNs, retry_dispatch) << "id " << id;
+    }
+    for (std::uint64_t id = 4; id < 8; ++id) {
+        EXPECT_EQ(by_id[id]->attempts, 1u) << "id " << id;
+        EXPECT_EQ(by_id[id]->dispatchNs, next_dispatch) << "id " << id;
+    }
+    EXPECT_LT(next_dispatch, retry_dispatch);
+    EXPECT_LT(by_id[4]->completeNs, retry_dispatch);
+
+    const ServeReport report = engine.report();
+    EXPECT_EQ(report.total.completed, 8u);
+    EXPECT_EQ(report.total.retries, 4u);
+    EXPECT_EQ(report.total.batches, 2u);
+    EXPECT_EQ(report.shards[0].batchFaults, 1u);
+}
+
+TEST(ServingEngine, FaultedBatchesNeverShareRequestsAcrossShards)
+{
+    ServeConfig config = twoTenantConfig(true);
+    config.sched.policy = SchedPolicy::BatchTimeout;
+    config.sched.maxBatch = 4;
+    config.sched.batchTimeoutNs = 20'000.0;
+    config.queue.depth = 256;
+    config.retry.maxRetries = 4;
+    config.retry.baseBackoffNs = 5'000.0;
+    ServingEngine engine(config);
+    HashedFaults faults;
+    engine.setFaultModel(&faults);
+
+    const auto arrivals =
+        poissonArrivals({{0, 40'000.0}, {1, 60'000.0}}, 2.0e7, 11);
+    for (const Arrival &a : arrivals)
+        engine.submit(a.tenant, std::max(a.ns, engine.nowNs()));
+    engine.drain();
+    const auto done = engine.takeCompletions();
+    const ServeReport report = engine.report();
+    ASSERT_GT(report.total.retries, 0u);
+    ASSERT_EQ(done.size(), report.total.completed);
+
+    // Every completion exactly once; a batch is one (tenant, dispatch)
+    // group of at most maxBatch requests in admission order, all on the
+    // same attempt.
+    std::set<std::uint64_t> ids;
+    std::map<std::pair<unsigned, double>, std::vector<const ServeRequest *>>
+        batches;
+    std::uint64_t extra_attempts = 0;
+    for (const ServeRequest &r : done) {
+        EXPECT_TRUE(ids.insert(r.id).second) << "id " << r.id;
+        batches[{r.tenant, r.dispatchNs}].push_back(&r);
+        extra_attempts += r.attempts - 1;
+    }
+    for (const auto &[key, members] : batches) {
+        EXPECT_LE(members.size(), 4u);
+        for (std::size_t i = 1; i < members.size(); ++i) {
+            EXPECT_LT(members[i - 1]->id, members[i]->id);
+            EXPECT_EQ(members[i]->attempts, members[0]->attempts);
+        }
+    }
+    // Budgeted retries, plus the host re-dispatch of each request whose
+    // budget ran out.
+    EXPECT_EQ(extra_attempts,
+              report.total.retries + report.total.fallbackCompleted);
+    EXPECT_EQ(report.total.completed + report.total.rejected,
+              report.total.submitted);
 }
 
 // ------------------------------------------------------------------
